@@ -38,6 +38,33 @@ use core::hash::Hash;
 pub trait Action: Clone + Eq + Hash + Debug + 'static {
     /// The action's name, without parameters.
     fn name(&self) -> &'static str;
+
+    /// A key that narrows routing below the name: the parameters that
+    /// decide *whose* action this is (for `SENDMSG_i(j, m)`, the edge
+    /// `(i, j)`), packed into one word — or `None` (the default) when the
+    /// name is all there is.
+    ///
+    /// Like [`TimedComponent::action_names`] this is a *routing hint*, not
+    /// behaviour, and it is the second half of the same contract: **two
+    /// actions with the same [`name`](Action::name) and the same key are
+    /// in the signatures of the same components** — for every component
+    /// `C`, `C.classify(a).is_some() == C.classify(b).is_some()`. The
+    /// execution engine relies on it to remember, per `(name, key)`, which
+    /// components to visit when such an action fires, instead of asking
+    /// every component that lists the name. The key sits on the action
+    /// rather than on the component traits so that wrappers (`Hidden`,
+    /// `Pair`, `Relabel`, the boxes) need not forward anything.
+    ///
+    /// A key that is too coarse is always safe (`None` is the coarsest);
+    /// one that separates less than a component's `classify` does — two
+    /// actions sharing a key but not a signature — breaks routing silently
+    /// in release builds. Debug builds re-derive the visit list by full
+    /// scan on every fired action and assert it matches.
+    ///
+    /// [`TimedComponent::action_names`]: crate::TimedComponent::action_names
+    fn route_key(&self) -> Option<u64> {
+        None
+    }
 }
 
 /// `&'static str` is an [`Action`] out of the box, which keeps examples and

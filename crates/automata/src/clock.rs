@@ -56,7 +56,8 @@ pub trait ClockComponent: 'static {
     /// [`TimedComponent::action_names`](crate::TimedComponent::action_names):
     /// whenever `classify(a)` is `Some`, `a.name()` must appear in the
     /// list; over-approximation is safe; `None` (the default) means the
-    /// engine routes every action here.
+    /// engine routes every action here. The [`Action::route_key`] contract
+    /// binds `classify` here exactly as it does there.
     fn action_names(&self) -> Option<Vec<&'static str>> {
         None
     }

@@ -64,6 +64,14 @@ pub trait TimedComponent: 'static {
     /// (contain names the component never actually takes). Returning `None`
     /// (the default) routes every action to the component, which is always
     /// correct, merely slower.
+    ///
+    /// Names are the coarse half of routing. The fine half sits on the
+    /// action, not here: [`Action::route_key`] lets an action say *whose*
+    /// it is (the edge of a `SENDMSG`, the node of a `READ`), under the
+    /// contract that two actions with the same name and the same key are
+    /// in the same components' signatures — so `classify` must not tell
+    /// apart two actions that share both. A component (or a wrapper such
+    /// as [`Hidden`]) has nothing to implement for it.
     fn action_names(&self) -> Option<Vec<&'static str>> {
         None
     }

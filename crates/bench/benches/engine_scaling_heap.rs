@@ -149,8 +149,12 @@ fn write_artifact() {
         entries.push(row("sparse", "reference", n, ms, events));
     }
     let speedup = dense_rate[0] / dense_rate[1];
+    // The runs are single-threaded; the core count is recorded so a reader
+    // can tell one host's file from another's.
+    let host_parallelism = std::thread::available_parallelism().map_or(1, usize::from);
     let json = format!(
         "{{\n  \"bench\": \"engine_scaling_heap\",\n  \
+         \"host_parallelism\": {host_parallelism},\n  \
          \"tokens_per_node_dense\": {TOKENS_PER_NODE},\n  \
          \"heap_event_budget\": {HEAP_EVENTS},\n  \
          \"dense_speedup_n1024\": {speedup:.1},\n  \"runs\": [\n{}\n  ]\n}}\n",

@@ -9,42 +9,52 @@
 //! allocation count by the event count, and pins the quotient against
 //! the pre-diet baseline.
 //!
-//! The counter is a relaxed atomic — the tests that use it are
-//! single-threaded over the measured region, so the count is exact
-//! there; outside it the number only ever moves up, which is the safe
-//! direction for a "strictly fewer than baseline" assertion.
+//! The tally is per thread: `cargo test` runs the tests of one binary on
+//! parallel harness threads, and a process-wide counter would charge each
+//! test with the others' allocations. A measured region runs on one
+//! thread, so its before/after difference is exact whatever else the
+//! process is doing.
 
 // The one sanctioned use of `unsafe` in this crate: `GlobalAlloc` is an
 // unsafe trait, and this impl delegates verbatim to `System`.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// A `#[global_allocator]` that delegates to [`System`] and counts
-/// allocation calls (`alloc` + `realloc`; frees are not counted — the
-/// diet is about how often we *ask* for memory).
-pub struct CountingAlloc {
-    allocs: AtomicU64,
+thread_local! {
+    /// Allocation calls made by this thread. Const-initialized and without
+    /// a destructor, so touching it from inside the allocator never
+    /// allocates or registers anything.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
+fn tally() {
+    // `try_with`: a thread may still allocate while its locals are torn
+    // down; those calls belong to no measured region.
+    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// A `#[global_allocator]` that delegates to [`System`] and counts
+/// allocation calls per thread (`alloc` + `realloc`; frees are not counted
+/// — the diet is about how often we *ask* for memory).
+pub struct CountingAlloc;
+
 impl CountingAlloc {
-    /// A fresh counter at zero, usable in `static` position.
+    /// The allocator, usable in `static` position.
     #[must_use]
     pub const fn new() -> CountingAlloc {
-        CountingAlloc {
-            allocs: AtomicU64::new(0),
-        }
+        CountingAlloc
     }
 
-    /// Allocation calls observed so far.
+    /// Allocation calls the calling thread has made so far.
     #[must_use]
     pub fn allocations(&self) -> u64 {
-        self.allocs.load(Ordering::Relaxed)
+        THREAD_ALLOCS.with(Cell::get)
     }
 
-    /// Allocation calls performed by `f`, measured as a before/after
-    /// difference on this counter.
+    /// Allocation calls performed by `f` on the calling thread, measured
+    /// as a before/after difference of its tally.
     pub fn count<T>(&self, f: impl FnOnce() -> T) -> (T, u64) {
         let before = self.allocations();
         let out = f();
@@ -58,11 +68,11 @@ impl Default for CountingAlloc {
     }
 }
 
-// SAFETY: delegates verbatim to `System`; the counter has no effect on
-// the returned memory.
+// SAFETY: delegates verbatim to `System`; the tally has no effect on the
+// returned memory and does not itself allocate.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
+        tally();
         unsafe { System.alloc(layout) }
     }
 
@@ -71,7 +81,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
+        tally();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }

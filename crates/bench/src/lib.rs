@@ -33,7 +33,7 @@ use psync_core::{
     DmNodeConfig, NodeSpec,
 };
 use psync_executor::{
-    ClockStrategy, DriftClock, OffsetClock, PerfectClock, RandomScheduler, RandomWalkClock,
+    ClockStrategy, DriftClock, Engine, OffsetClock, PerfectClock, RandomScheduler, RandomWalkClock,
     StopReason,
 };
 use psync_mmt::{StepPolicy, TickConfig};
@@ -150,16 +150,17 @@ impl Scenario {
         self.run_dc_with_params(&params)
     }
 
-    /// As [`Scenario::run_dc`] but with explicit algorithm parameters
-    /// (used by E8's naive-transfer variant).
+    /// The D_C system (Algorithm S through Simulation 1, adversarial
+    /// clocks, the closed-loop workload), built and ready to run — for
+    /// callers that measure the run apart from the assembly.
     #[must_use]
-    pub fn run_dc_with_params(&self, params: &RegisterParams) -> Execution<RegAction> {
+    pub fn dc_engine(&self, params: &RegisterParams) -> Engine<RegAction> {
         let topo = self.topo();
         let algorithms = topo
             .nodes()
             .map(|i| NodeSpec::new(i, AlgorithmS::new(i, params.clone())))
             .collect();
-        let mut engine = build_dc(
+        build_dc(
             &topo,
             self.physical,
             self.eps,
@@ -170,7 +171,14 @@ impl Scenario {
         .timed(self.workload())
         .scheduler(RandomScheduler::new(self.seed))
         .horizon(Time::ZERO + Duration::from_secs(30))
-        .build();
+        .build()
+    }
+
+    /// As [`Scenario::run_dc`] but with explicit algorithm parameters
+    /// (used by E8's naive-transfer variant).
+    #[must_use]
+    pub fn run_dc_with_params(&self, params: &RegisterParams) -> Execution<RegAction> {
+        let mut engine = self.dc_engine(params);
         let run = engine.run().expect("well-formed D_C");
         assert_eq!(run.stop, StopReason::Quiescent, "workload must finish");
         run.execution

@@ -15,17 +15,24 @@
 //!   per-event `String`/`Vec` allocation) without being sensitive to the
 //!   diet itself.
 //!
-//! Both engines are built *outside* the counted region: the diet targets
+//! A third test pins the product path the ring does not touch: the D_C
+//! register system (Algorithm S through Simulation 1, clock nodes, clock
+//! channels) at n = 8, where every `ν` used to re-box the state of every
+//! buffer and channel.
+//!
+//! Every engine is built *outside* the counted region: the diet targets
 //! the run loop, and one-time construction (routing table, name interning)
 //! is allowed to allocate freely.
 //!
-//! The binary is otherwise single-threaded, so the before/after counter
-//! difference is exact for the measured region.
+//! [`CountingAlloc`] tallies per thread, so the tests may run on parallel
+//! harness threads: each before/after difference counts its own thread's
+//! allocations alone, and is exact.
 
 use psync_bench::alloc_count::CountingAlloc;
 use psync_bench::ring::{
     build_ring_engine, build_ring_heavy_engine, ring_horizon, run_ring_heavy, run_ring_incremental,
 };
+use psync_bench::Scenario;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -42,17 +49,25 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 const PRE_DIET_HEAVY_ALLOCS_PER_EVENT: f64 = 82.504;
 
 /// Pinned bound for the post-diet engine. The workload and the engine are
-/// fully deterministic, so the measured 20.151 allocs/event is exact and
+/// fully deterministic, so the measured 20.032 allocs/event is exact and
 /// repeatable; the ceiling leaves ~0.85 allocs/event of headroom, which
 /// still trips on a single reintroduced per-event clone (+1.0) — and
 /// spectacularly on a return of per-candidate re-cloning (~80).
-const HEAVY_ALLOCS_PER_EVENT_CEILING: f64 = 21.0;
+const HEAVY_ALLOCS_PER_EVENT_CEILING: f64 = 20.9;
 
 /// Loose ceiling for the `u32`-token ring. Action clones are allocation
-/// free here, so the diet barely moves this figure (~6.4 measured both
-/// before and after); the bound only exists to catch a new per-event heap
-/// allocation sneaking into the hot loop.
-const U32_ALLOCS_PER_EVENT_CEILING: f64 = 7.5;
+/// free here, so the diet barely moves this figure (6.311 measured; ~6.4
+/// both before and after the diet); the bound only exists to catch a new
+/// per-event heap allocation sneaking into the hot loop, and leaves ~0.9
+/// of headroom so that one (+1.0) trips it.
+const U32_ALLOCS_PER_EVENT_CEILING: f64 = 7.2;
+
+/// Ceiling for the D_C register system at n = 8 (3596 events, 177
+/// components). With every Simulation-1 part carrying a wake hint a `ν`
+/// re-boxes only the states it wakes: 7.991 allocs/event, exact for the
+/// seed. Before the hints every `ν` re-boxed all 177 states and the same
+/// run read 90.137. The ceiling leaves ~0.9 of headroom.
+const DC_N8_ALLOCS_PER_EVENT_CEILING: f64 = 8.9;
 
 fn measured_events(events: usize) -> f64 {
     let events = events as f64;
@@ -106,5 +121,31 @@ fn u32_ring_n32_allocations_per_event_stay_bounded() {
         per_event < U32_ALLOCS_PER_EVENT_CEILING,
         "hot loop grew a per-event allocation: {per_event:.3} allocs/event >= ceiling \
          {U32_ALLOCS_PER_EVENT_CEILING}"
+    );
+}
+
+#[test]
+fn dc_register_n8_allocations_per_event_stay_bounded() {
+    let scenario = Scenario {
+        n: 8,
+        ops_per_node: 20,
+        ..Scenario::default_with(7)
+    };
+    let params = scenario.params();
+    let events = measured_events(scenario.run_dc().len());
+
+    let mut engine = scenario.dc_engine(&params);
+    let (run, allocs) = ALLOC.count(move || engine.run().expect("D_C run"));
+    assert_eq!(run.execution.len() as f64, events);
+
+    let per_event = allocs as f64 / events;
+    eprintln!(
+        "D_C register n=8: {allocs} allocations / {events} events = {per_event:.3} allocs/event \
+         (ceiling {DC_N8_ALLOCS_PER_EVENT_CEILING})"
+    );
+    assert!(
+        per_event < DC_N8_ALLOCS_PER_EVENT_CEILING,
+        "product path grew a per-event allocation: {per_event:.3} allocs/event >= ceiling \
+         {DC_N8_ALLOCS_PER_EVENT_CEILING}"
     );
 }

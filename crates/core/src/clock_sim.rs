@@ -1,6 +1,8 @@
 //! The transformation `C(A_i, ε)` (Definition 4.1).
 
-use psync_automata::{Action, ActionKind, ClockComponent, ComponentBox, DynState, TimedComponent};
+use psync_automata::{
+    Action, ActionKind, ClockComponent, ComponentBox, DynState, TimedComponent, WakeHint,
+};
 use psync_time::Time;
 
 /// `C(A_i, ε)`: a timed automaton reinterpreted as a clock automaton by
@@ -93,6 +95,12 @@ impl<A: Action> ClockComponent for ClockSim<A> {
 
     fn advance(&self, s: &DynState, clock: Time, target: Time) -> Option<DynState> {
         self.inner.advance(s, clock, target)
+    }
+
+    fn clock_wake(&self, s: &DynState, clock: Time) -> WakeHint {
+        // The inner automaton's promise about `now` is a promise about the
+        // clock, since its `now` is the clock (Definition 4.1).
+        self.inner.wake_hint(s, clock)
     }
 }
 

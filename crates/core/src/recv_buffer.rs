@@ -3,7 +3,7 @@
 use core::fmt::Debug;
 use core::hash::Hash;
 
-use psync_automata::{Action, ActionKind, ClockComponent};
+use psync_automata::{Action, ActionKind, ClockComponent, WakeHint};
 use psync_net::{Envelope, NodeId, SysAction};
 use psync_time::Time;
 
@@ -141,6 +141,14 @@ where
     fn clock_deadline(&self, s: &Self::State, _clock: Time) -> Option<Time> {
         // ν precondition: the clock may not pass any buffered stamp.
         s.entries.first().map(|(_, stamp, _)| *stamp)
+    }
+
+    fn clock_wake(&self, s: &Self::State, clock: Time) -> WakeHint {
+        // The front entry carries the minimum stamp: below it nothing is
+        // releasable and the deadline stands; an empty buffer only changes
+        // by `ERECVMSG`, a step.
+        self.clock_deadline(s, clock)
+            .map_or(WakeHint::Never, WakeHint::At)
     }
 }
 

@@ -3,7 +3,7 @@
 use core::fmt::Debug;
 use core::hash::Hash;
 
-use psync_automata::{Action, ActionKind, ClockComponent};
+use psync_automata::{Action, ActionKind, ClockComponent, WakeHint};
 use psync_net::{Envelope, NodeId, SysAction};
 use psync_time::Time;
 
@@ -99,6 +99,14 @@ where
         // ν precondition: no queued (m, c) may have c < clock + Δc —
         // the clock cannot move past any queued stamp.
         s.iter().map(|(_, c)| *c).min()
+    }
+
+    fn clock_wake(&self, s: &Self::State, clock: Time) -> WakeHint {
+        // Every clock-dependent condition compares the clock with a queued
+        // stamp, so nothing changes below the earliest one; an empty queue
+        // only changes by `SENDMSG`, a step.
+        self.clock_deadline(s, clock)
+            .map_or(WakeHint::Never, WakeHint::At)
     }
 }
 

@@ -2,26 +2,46 @@
 //!
 //! # Incremental architecture
 //!
-//! The engine is *incremental*: instead of re-querying every component on
-//! every loop iteration it maintains
+//! The engine is *incremental*: every phase of the run loop costs in
+//! proportion to the components it has to touch, not to the components
+//! the system has. What it keeps, and what each phase reads:
 //!
 //! * a per-component **enabled cache** with a dirty set — only components
 //!   whose state or clock changed since the last query are re-asked for
-//!   their enabled actions;
-//! * a static **routing table** built once at [`EngineBuilder::build`] from
-//!   the components' [`TimedComponent::action_names`] hints, so firing an
-//!   action visits only the components that might have it in signature;
-//! * **wake-up heaps** fed by the components'
-//!   [`TimedComponent::wake_hint`] promises: a time advance wakes only the
-//!   components whose promised wake time has come due (popped from a lazy
-//!   min-heap in deterministic `(deadline, component-index)` order) plus
-//!   the components that made no promise, instead of advancing and
-//!   re-querying all of them — O(woken · log n) per advance instead of
-//!   O(n);
-//! * a **deadline scratch** that carries each node's minimum clock deadline
-//!   from [`compute_target`](Engine::run) to the immediately following
-//!   time advance (the states have not changed in between, so the reuse is
-//!   exact).
+//!   their enabled actions, and their segments of the persistent
+//!   candidate list are spliced in place, each segment's start found in
+//!   O(log n) by a Fenwick tree over the segment lengths;
+//! * a **routing table**: per action name, the components whose
+//!   [`TimedComponent::action_names`] hint lists it (built once at
+//!   [`EngineBuilder::build`]); and under it, per
+//!   [`Action::route_key`], the components that actually have an action
+//!   of that name and key in signature (found by asking the name's list
+//!   once, the first time the key fires). Firing `SENDMSG_i(j, m)` visits
+//!   node `i`'s algorithm and the one send buffer of edge `(i, j)`, not
+//!   every send buffer in the system;
+//! * per component, the **wake hint and deadline** it reported when time
+//!   last had to pass after it changed, indexed per *time basis* — real time for
+//!   the timed components, its own clock for each node: a [`WakeSet`]
+//!   (components hinting `Always`, plus a lazy min-heap of `At(t)` hints)
+//!   and the deadlines (a lazy min-heap for real time, where only the
+//!   earliest matters; the set of holders per node, where the strategy is
+//!   asked about each). A component's [`WakeHint`] promises that time
+//!   passage short of the hinted instant changes nothing about it, so
+//!   these entries stay exact while the component sleeps.
+//!
+//! Per **event**: one routing lookup, a step of each component that
+//! shares the action, and a refresh of the enabled sets of exactly those
+//! components. Per **`ν`**: the components refreshed since the last `ν`
+//! are asked their hint and deadline (once each, however many
+//! same-instant events touched them); `compute_target` reads the cached
+//! deadlines — the `Always` timed components are the only other ones
+//! asked — and `advance_to` wakes, on each basis, the components whose
+//! hint has come due, in deterministic `(time, component-index)` order.
+//! The one term that is O(nodes) per `ν` is the clock strategies: each is
+//! consulted, and its clock validated, exactly once per `ν` in node order
+//! (that stream is observable). It is *not* O(components): a node never
+//! reads another node's clock, so which of its components `ν` can affect
+//! is decided by that node's own hints alone.
 //!
 //! The event log is an arena ([`EventArena`]) shared by `Arc`: run
 //! snapshots, checkpoints and observers all view the same flat storage,
@@ -31,12 +51,12 @@
 //! All of this is invisible in the recorded executions: the candidate
 //! order, scheduler consultation and event log are bit-identical to the
 //! straightforward scan-everything implementation preserved in
-//! [`ReferenceEngine`](crate::ReferenceEngine) (see the
-//! `engine_equiv` integration tests).
+//! [`ReferenceEngine`](crate::ReferenceEngine) (see the `engine_equiv`
+//! integration tests, and `tests/engine_equiv_dc.rs` at the workspace
+//! root for the D_C register system).
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use psync_automata::ClockComponent;
@@ -49,9 +69,10 @@ use psync_time::{Duration, Time};
 use crate::clock_driver::{AdvanceCtx, ClockCheckpoint, ClockStrategy};
 use crate::error::EngineError;
 use crate::fasthash::FastBuildHasher;
+use crate::fenwick::SegLens;
 use crate::observer::{ClockRead, Observer};
 use crate::scheduler::{FifoScheduler, Scheduler, SchedulerCheckpoint};
-use crate::wakeheap::WakeHeap;
+use crate::wakeheap::{WakeHeap, WakeSet};
 
 /// Default cap on recorded events, guarding against Zeno compositions.
 const DEFAULT_MAX_EVENTS: usize = 1_000_000;
@@ -74,6 +95,16 @@ struct NodeRuntime<A: Action> {
     clock: Time,
     strategy: Box<dyn ClockStrategy>,
     pred: ClockPredicate,
+    /// Flat id of `comps[0]`.
+    base: usize,
+    /// Derived: which components an advance of this node's clock wakes
+    /// (their `clock_wake` hints, indexed; see [`WakeSet`]).
+    wake: WakeSet,
+    /// Derived: flat ids of the components that cached a clock deadline at
+    /// their last refresh, unordered (`Engine::holder_pos` finds an id's
+    /// slot). A node's `ν` precondition and `compute_target`'s aim read
+    /// these instead of asking every component.
+    holders: Vec<usize>,
 }
 
 /// A group of clock components sharing one node clock — the clock-automaton
@@ -173,8 +204,9 @@ pub enum StopReason {
 /// plans diverge.
 ///
 /// The engine's derived caches (enabled cache, dirty set, duplicate map,
-/// deadline scratch) are deliberately omitted: restore marks everything
-/// dirty, and the next refresh rebuilds them from the restored states —
+/// wake sets, cached deadlines) are deliberately omitted: restore marks
+/// everything dirty, and the next refresh rebuilds them from the restored
+/// states —
 /// the all-dirty rebuild produces bit-identical candidate lists, so the
 /// resumed run is indistinguishable from an uninterrupted one.
 pub struct EngineCheckpoint<A: Action> {
@@ -313,11 +345,13 @@ impl<A: Action> EngineBuilder<A> {
     /// Builds the engine with all components in their start states and
     /// `now = clock = 0` (axioms S1 and C1).
     ///
-    /// This is also where the static **routing table** is assembled: each
-    /// component's [`TimedComponent::action_names`] hint is read once, and
-    /// components are indexed by the action names they admit. Components
-    /// without a hint land in the wildcard set and are visited for every
-    /// action, so hint-less components behave exactly as before.
+    /// This is also where the per-name half of the **routing table** is
+    /// assembled: each component's [`TimedComponent::action_names`] hint is
+    /// read once, and components are indexed by the action names they
+    /// admit. Components without a hint land in the wildcard set and are
+    /// visited for every action, so hint-less components behave exactly as
+    /// before. The per-key half fills in as keys fire (`visit_list`):
+    /// nothing is added to `build()` for it, which short runs would pay.
     #[must_use]
     pub fn build(self) -> Engine<A> {
         let timed: Vec<TimedRuntime<A>> = self
@@ -328,40 +362,50 @@ impl<A: Action> EngineBuilder<A> {
                 TimedRuntime { comp, state }
             })
             .collect();
-        let nodes: Vec<NodeRuntime<A>> = self
-            .nodes
-            .into_iter()
-            .map(|n| NodeRuntime {
-                name: Arc::from(n.name.as_str()),
-                comps: n
-                    .comps
-                    .into_iter()
-                    .map(|c| {
-                        let s = c.initial();
-                        (c, s)
-                    })
-                    .collect(),
-                clock: Time::ZERO,
-                strategy: n.strategy,
-                pred: ClockPredicate::skew(n.eps),
-            })
-            .collect();
-
         // Flat component index space: timed components first, then each
         // node's components, all in insertion order. This is the engine's
         // canonical iteration order; everything below preserves it.
         let mut flat_origin: Vec<Origin> = (0..timed.len()).map(Origin::Timed).collect();
-        for (n, node) in nodes.iter().enumerate() {
-            flat_origin.extend((0..node.comps.len()).map(|j| Origin::Node(n, j)));
-        }
+        let nodes: Vec<NodeRuntime<A>> = self
+            .nodes
+            .into_iter()
+            .enumerate()
+            .map(|(n, spec)| {
+                let base = flat_origin.len();
+                flat_origin.extend((0..spec.comps.len()).map(|j| Origin::Node(n, j)));
+                NodeRuntime {
+                    name: Arc::from(spec.name.as_str()),
+                    comps: spec
+                        .comps
+                        .into_iter()
+                        .map(|c| {
+                            let s = c.initial();
+                            (c, s)
+                        })
+                        .collect(),
+                    clock: Time::ZERO,
+                    strategy: spec.strategy,
+                    pred: ClockPredicate::skew(spec.eps),
+                    base,
+                    wake: WakeSet::new(base..flat_origin.len()),
+                    holders: Vec::new(),
+                }
+            })
+            .collect();
+        let flat_count = flat_origin.len();
+        assert!(
+            u32::try_from(flat_count).is_ok(),
+            "component count fits u32"
+        );
 
-        let mut hinted: HashMap<&'static str, Vec<usize>> = HashMap::new();
-        let mut wildcard: Vec<usize> = Vec::new();
+        let mut hinted: HashMap<&'static str, Vec<u32>> = HashMap::new();
+        let mut wildcard: Vec<u32> = Vec::new();
         for (id, origin) in flat_origin.iter().enumerate() {
             let hint = match *origin {
                 Origin::Timed(i) => timed[i].comp.action_names(),
                 Origin::Node(n, j) => nodes[n].comps[j].0.action_names(),
             };
+            let id = id as u32;
             match hint {
                 None => wildcard.push(id),
                 Some(names) => {
@@ -377,30 +421,33 @@ impl<A: Action> EngineBuilder<A> {
         // Merge each hinted list with the wildcard ids *once*, here: firing
         // an action then iterates a precomputed ascending visit list with no
         // per-event merge work. (A component is hinted or wildcard, never
-        // both, so the merge never produces duplicates.)
-        let route: HashMap<&'static str, Rc<[usize]>, FastBuildHasher> = hinted
+        // both, so the merge never produces duplicates.) All lists live in
+        // one pool; the per-key lists `visit_list` memoises later are
+        // appended to it.
+        let mut route_pool: Vec<u32> = wildcard.clone();
+        let wildcard_span = Span::appended(&route_pool, 0);
+        let route: HashMap<&'static str, NameRoute, FastBuildHasher> = hinted
             .into_iter()
             .map(|(name, ids)| {
-                let mut merged = Vec::with_capacity(ids.len() + wildcard.len());
+                let start = route_pool.len();
                 let (mut i, mut j) = (0, 0);
                 while i < ids.len() && j < wildcard.len() {
                     if ids[i] < wildcard[j] {
-                        merged.push(ids[i]);
+                        route_pool.push(ids[i]);
                         i += 1;
                     } else {
-                        merged.push(wildcard[j]);
+                        route_pool.push(wildcard[j]);
                         j += 1;
                     }
                 }
-                merged.extend_from_slice(&ids[i..]);
-                merged.extend_from_slice(&wildcard[j..]);
-                (name, Rc::from(merged))
+                route_pool.extend_from_slice(&ids[i..]);
+                route_pool.extend_from_slice(&wildcard[j..]);
+                let all = Span::appended(&route_pool, start);
+                let keyed = HashMap::default();
+                (name, NameRoute { all, keyed })
             })
             .collect();
-        let wildcard: Rc<[usize]> = Rc::from(wildcard);
 
-        let flat_count = flat_origin.len();
-        let node_count = nodes.len();
         let timed_count = timed.len();
         // The arena is born knowing every node name: events then share the
         // interned `Arc<str>`s, and index-based consumers can resolve a
@@ -421,23 +468,24 @@ impl<A: Action> EngineBuilder<A> {
             observers: self.observers,
             flat_origin,
             route,
-            wildcard,
+            wildcard: wildcard_span,
+            route_pool,
             enabled_cache: vec![Vec::new(); flat_count],
             dirty: vec![true; flat_count],
             dirty_ids: Vec::new(),
             all_dirty: true,
-            seg_len: vec![0; flat_count],
+            seg: SegLens::new(flat_count),
             dup_map: HashMap::default(),
             cand: Vec::new(),
             cand_origin: Vec::new(),
-            node_dc_scratch: vec![None; node_count],
-            dc_scratch_valid: false,
-            wake_cached: vec![WakeHint::Always; timed_count],
-            dl_cached: vec![None; timed_count],
-            wake_heap: WakeHeap::new(),
+            wake_cached: vec![WakeHint::Always; flat_count],
+            wake_flags: vec![0; flat_count],
+            dl_cached: vec![None; flat_count],
+            timed_wake: WakeSet::new(0..timed_count),
             dl_heap: WakeHeap::new(),
-            always_ids: Vec::new(),
-            in_always: vec![false; timed_count],
+            holder_pos: vec![NOT_HOLDING; flat_count],
+            unnoted: Vec::new(),
+            note_due: vec![false; flat_count],
             touched_scratch: Vec::new(),
         }
     }
@@ -450,13 +498,50 @@ enum Origin {
     Node(usize, usize),
 }
 
+/// A visit list: `route_pool[start..start + len]`, ascending flat ids.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    /// The list appended to the pool since it was `start` long.
+    fn appended(pool: &[u32], start: usize) -> Span {
+        let fits = |n: usize| u32::try_from(n).expect("route table fits u32");
+        Span {
+            start: fits(start),
+            len: fits(pool.len() - start),
+        }
+    }
+
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// The routes of one action name.
+struct NameRoute {
+    /// Every component whose `action_names` hint lists the name, merged
+    /// with the wildcard components — the visit list of an action that
+    /// carries no [`Action::route_key`].
+    all: Span,
+    /// Route key → the members of `all` that have an action of this name
+    /// and key in signature, memoised by [`Engine::visit_list`] the first
+    /// time the key fires. Fast-hashed: looked up once per fired event.
+    keyed: HashMap<u64, Span, FastBuildHasher>,
+}
+
+/// `holder_pos` value of a component that caches no clock deadline.
+const NOT_HOLDING: u32 = u32::MAX;
+
 /// The composed system plus its run state.
 ///
 /// See the [crate docs](crate) for the execution semantics, the
 /// crate-level example for typical use, and the module docs (`engine.rs`) for
-/// the incremental machinery (routing table, enabled cache, deadline
-/// scratch) that keeps the run loop from rescanning every component on
-/// every event.
+/// the incremental machinery (routing table, enabled cache, hint and
+/// deadline caches) that keeps the run loop from rescanning every
+/// component on every event.
 pub struct Engine<A: Action> {
     timed: Vec<TimedRuntime<A>>,
     nodes: Vec<NodeRuntime<A>>,
@@ -475,14 +560,17 @@ pub struct Engine<A: Action> {
     /// Flat component id → where it lives. Timed components first, then
     /// node components, all in insertion order.
     flat_origin: Vec<Origin>,
-    /// Action name → ascending flat ids of the components to visit when
-    /// firing an action of that name (hinted components listing the name,
-    /// pre-merged with the wildcard ids). Fast-hashed: looked up once per
-    /// fired event.
-    route: HashMap<&'static str, Rc<[usize]>, FastBuildHasher>,
-    /// Flat ids of components without an `action_names` hint (ascending);
-    /// the visit list for action names no hint mentions.
-    wildcard: Rc<[usize]>,
+    /// Action name → its visit lists (see [`NameRoute`]). Fast-hashed:
+    /// looked up once per fired event.
+    route: HashMap<&'static str, NameRoute, FastBuildHasher>,
+    /// The components without an `action_names` hint — the visit list for
+    /// action names no hint mentions.
+    wildcard: Span,
+    /// Backing store of every visit list: the per-name lists laid down by
+    /// `build()`, then the per-key lists in the order their keys first
+    /// fired. `u32` ids and one allocation keep the table small — a
+    /// complete graph has one key per edge and direction.
+    route_pool: Vec<u32>,
     /// Per-component cached `enabled()` result; valid iff not dirty.
     enabled_cache: Vec<Vec<A>>,
     /// Components whose state or clock changed since their cache entry was
@@ -495,10 +583,11 @@ pub struct Engine<A: Action> {
     /// Every component is dirty (initial state, and after every time
     /// advance) — cheaper than pushing all ids into `dirty_ids`.
     all_dirty: bool,
-    /// `seg_len[id]` is the number of candidates component `id`
+    /// `seg.get(id)` is the number of candidates component `id`
     /// contributes to `cand` — the length of its segment in the
-    /// concatenation invariant (see `refresh_candidates`).
-    seg_len: Vec<u32>,
+    /// concatenation invariant (see `refresh_candidates`) — and
+    /// `seg.start(id)` where that segment begins, in O(log n).
+    seg: SegLens,
     /// Currently enabled action → the flat id offering it, maintained
     /// incrementally as caches refresh. Two components claiming the same
     /// action is the Definition 2.2 incompatibility; the map detects it in
@@ -512,37 +601,35 @@ pub struct Engine<A: Action> {
     /// Scratch: `cand_origin[i]` is the flat id that offered `cand[i]`
     /// (ascending).
     cand_origin: Vec<usize>,
-    /// Per-node minimum clock deadline computed by `compute_target`, reused
-    /// by the immediately following `advance_to` (states are unchanged in
-    /// between, so the value is exact, not a heuristic).
-    node_dc_scratch: Vec<Option<Time>>,
-    dc_scratch_valid: bool,
-    /// Timed component `id`'s wake hint as of its last cache refresh
-    /// (indexed by flat id, which equals the timed index; node components
-    /// are not tracked here — their hints are consulted inline per
-    /// advance, on the clock-time basis).
+    /// Component `id`'s wake hint as last noted (flat index; `wake_hint`
+    /// at `now` for a timed component, `clock_wake` at the node clock for a
+    /// node component). Once `settle_notes` has run the entry equals what
+    /// the component would answer now: it was either noted since the last
+    /// advance, or skipped by every advance since its note — which its
+    /// hint promised changes nothing.
     wake_cached: Vec<WakeHint>,
-    /// Timed component `id`'s deadline as of the same refresh; meaningful
-    /// only while `wake_cached[id]` is not `Always` (an `Always` component
-    /// promises nothing, so its deadline is re-queried on every
-    /// `compute_target`).
+    /// Per-component list-membership bits of the [`WakeSet`]s.
+    wake_flags: Vec<u8>,
+    /// Component `id`'s `deadline` / `clock_deadline` as of the same
+    /// note, exact for the same reason. Not kept for a
+    /// *timed* component hinting `Always` (its deadline is re-queried on
+    /// every `compute_target`).
     dl_cached: Vec<Option<Time>>,
-    /// Lazy min-heap of `(wake time, timed id)`. An entry is live iff the
-    /// component still caches exactly that `At(time)` hint; stale entries
-    /// are discarded when popped. Pushes are unconditional on every
-    /// refresh — duplicates are cheaper than a lookup structure and are
-    /// bounded by `rebuild_heaps`.
-    wake_heap: WakeHeap,
+    /// Which timed components a real-time advance wakes.
+    timed_wake: WakeSet,
     /// Lazy min-heap of `(deadline, timed id)` over the non-`Always` timed
     /// components; an entry is live iff the component still caches that
     /// deadline. Its live top is the earliest timed deadline
     /// `compute_target` needs, found without scanning.
     dl_heap: WakeHeap,
-    /// Timed ids currently hinting `Always` (lazy membership: an entry is
-    /// live iff `in_always[id]`; stale and duplicate entries are dropped
-    /// on iteration or by periodic compaction).
-    always_ids: Vec<usize>,
-    in_always: Vec<bool>,
+    /// Node component `id`'s slot in its node's `holders`, or
+    /// [`NOT_HOLDING`].
+    holder_pos: Vec<u32>,
+    /// Components refreshed since their hint and deadline were last noted
+    /// (`note_due[id]` iff `id` is listed); `settle_notes` empties it
+    /// before time passes.
+    unnoted: Vec<usize>,
+    note_due: Vec<bool>,
     /// Scratch for the ids woken by one time advance.
     touched_scratch: Vec<usize>,
 }
@@ -716,116 +803,7 @@ impl<A: Action> Engine<A> {
     /// signature at all (the injection would vanish without a trace, which
     /// is always a plumbing bug in the caller).
     pub fn inject(&mut self, action: A) -> Result<(), EngineError> {
-        self.dc_scratch_valid = false;
-        let interested: Rc<[usize]> = self
-            .route
-            .get(action.name())
-            .cloned()
-            .unwrap_or_else(|| Rc::clone(&self.wildcard));
-        let mut event_clock: Option<(usize, Time)> = None;
-        let mut stepped = false;
-        let now = self.now;
-        for &id in interested.iter() {
-            match self.flat_origin[id] {
-                Origin::Timed(i) => {
-                    let rt = &mut self.timed[i];
-                    let Some(k) = rt.comp.classify(&action) else {
-                        continue;
-                    };
-                    if k.is_locally_controlled() {
-                        return Err(EngineError::IncompatibleControllers {
-                            first: rt.comp.name().to_string(),
-                            second: String::from("<injected>"),
-                            action: format!("{action:?}"),
-                        });
-                    }
-                    match rt.comp.step(&rt.state, &action, now) {
-                        Some(next) => {
-                            rt.state = next;
-                            stepped = true;
-                            if !self.dirty[id] {
-                                self.dirty[id] = true;
-                                self.dirty_ids.push(id);
-                            }
-                        }
-                        None => {
-                            return Err(EngineError::InputNotEnabled {
-                                component: rt.comp.name().to_string(),
-                                action: format!("{action:?}"),
-                                now,
-                            })
-                        }
-                    }
-                }
-                Origin::Node(n, j) => {
-                    let node = &mut self.nodes[n];
-                    let clock = node.clock;
-                    let (comp, state) = &mut node.comps[j];
-                    let Some(k) = comp.classify(&action) else {
-                        continue;
-                    };
-                    if event_clock.is_none() {
-                        event_clock = Some((n, clock));
-                    }
-                    if k.is_locally_controlled() {
-                        return Err(EngineError::IncompatibleControllers {
-                            first: format!("{}/{}", node.name, comp.name()),
-                            second: String::from("<injected>"),
-                            action: format!("{action:?}"),
-                        });
-                    }
-                    match comp.step(state, &action, clock) {
-                        Some(next) => {
-                            *state = next;
-                            stepped = true;
-                            if !self.dirty[id] {
-                                self.dirty[id] = true;
-                                self.dirty_ids.push(id);
-                            }
-                        }
-                        None => {
-                            return Err(EngineError::InputNotEnabled {
-                                component: format!("{}/{}", node.name, comp.name()),
-                                action: format!("{action:?}"),
-                                now,
-                            })
-                        }
-                    }
-                }
-            }
-        }
-        if !stepped {
-            return Err(EngineError::UnclaimedInjection {
-                action: format!("{action:?}"),
-                now,
-            });
-        }
-        let event = TimedEvent {
-            node: event_clock.map(|(n, _)| Arc::clone(&self.nodes[n].name)),
-            action,
-            kind: psync_automata::ActionKind::Input,
-            now,
-            clock: event_clock.map(|(_, c)| c),
-        };
-        if !self.observers.is_empty() {
-            if let Some((n, clock)) = event_clock {
-                let eps = self.nodes[n].pred.eps();
-                for obs in &mut self.observers {
-                    obs.on_clock_read(ClockRead {
-                        node: n,
-                        now,
-                        clock,
-                        eps,
-                    });
-                }
-            }
-            let index = self.events.len();
-            for obs in &mut self.observers {
-                obs.on_event(index, &event);
-            }
-        }
-        Arc::make_mut(&mut self.events).push(event);
-        Ok(())
+        self.apply(action, None)
     }
 
     /// Captures a detached snapshot of the current run state. See
@@ -979,7 +957,7 @@ impl<A: Action> Engine<A> {
                 // next splice.
                 let origin = self.flat_origin[self.cand_origin[idx]];
                 let action = self.cand[idx].clone();
-                self.fire(action, origin)?;
+                self.apply(action, Some(origin))?;
                 self.idle_advances = 0;
                 continue;
             }
@@ -1104,37 +1082,26 @@ impl<A: Action> Engine<A> {
                 }
             }
             // Replace id's segment of the candidate list. Earlier dirty
-            // ids have already been spliced, so the prefix sum over
-            // `seg_len` is the segment's current start.
-            let start: usize = self.seg_len[..id].iter().map(|&l| l as usize).sum();
-            let old_len = self.seg_len[id] as usize;
+            // ids have already been spliced, so the prefix sum over the
+            // segment lengths is the segment's current start.
+            let start = self.seg.start(id);
+            let old_len = self.seg.get(id);
             self.cand
                 .splice(start..start + old_len, fresh.iter().cloned());
             self.cand_origin
                 .splice(start..start + old_len, std::iter::repeat_n(id, fresh.len()));
-            self.seg_len[id] = u32::try_from(fresh.len()).expect("candidate count fits u32");
+            self.seg.set(id, fresh.len());
             self.enabled_cache[id] = fresh;
             self.dirty[id] = false;
-            if id < self.timed.len() {
-                self.note_timed(id);
+            // Its hint and deadline are read when time next has to pass
+            // (`settle_notes`) — once, however many same-instant events
+            // refresh it before then.
+            if !self.note_due[id] {
+                self.note_due[id] = true;
+                self.unnoted.push(id);
             }
         }
         self.dirty_ids.clear();
-        // Lazy structures accumulate stale duplicates; once they exceed a
-        // small multiple of the component count, rebuild them exactly from
-        // the (now all-fresh) caches.
-        let cap = 2 * self.timed.len() + 64;
-        if self.wake_heap.len() > cap || self.dl_heap.len() > cap {
-            self.rebuild_heaps();
-        }
-        if self.always_ids.len() > self.timed.len() + 16 {
-            self.always_ids.clear();
-            for id in 0..self.timed.len() {
-                if self.in_always[id] {
-                    self.always_ids.push(id);
-                }
-            }
-        }
         Ok(())
     }
 
@@ -1149,10 +1116,7 @@ impl<A: Action> Engine<A> {
         self.cand_origin.clear();
         // Everything is re-noted below, so the wake structures restart
         // empty instead of accumulating one stale generation per rebuild.
-        self.wake_heap.clear();
-        self.dl_heap.clear();
-        self.always_ids.clear();
-        self.in_always.fill(false);
+        self.forget_notes();
         for id in 0..self.flat_origin.len() {
             let fresh = match self.flat_origin[id] {
                 Origin::Timed(i) => {
@@ -1181,66 +1145,105 @@ impl<A: Action> Engine<A> {
             self.cand.extend(fresh.iter().cloned());
             self.cand_origin
                 .extend(std::iter::repeat_n(id, fresh.len()));
-            self.seg_len[id] = u32::try_from(fresh.len()).expect("candidate count fits u32");
             self.enabled_cache[id] = fresh;
             self.dirty[id] = false;
-            if id < self.timed.len() {
-                self.note_timed(id);
-            }
+            self.note(id);
         }
+        self.seg.set_all(self.enabled_cache.iter().map(Vec::len));
         self.all_dirty = false;
         self.dirty_ids.clear();
         Ok(())
     }
 
-    /// Records timed component `id`'s wake hint — and, unless the hint is
-    /// `Always`, its deadline — right after its enabled cache was
-    /// refreshed. Heap entries are pushed unconditionally: a push per
-    /// refresh is cheaper than any in-heap lookup, and a popped or
-    /// superseded entry is recognized as stale because it no longer
-    /// matches these caches.
-    fn note_timed(&mut self, id: usize) {
-        let rt = &self.timed[id];
-        let hint = rt.comp.wake_hint(&rt.state, self.now);
-        self.wake_cached[id] = hint;
-        if hint == WakeHint::Always {
-            self.dl_cached[id] = None;
-            if !self.in_always[id] {
-                self.in_always[id] = true;
-                self.always_ids.push(id);
-            }
-            return;
+    /// Notes every component refreshed since time last passed: the
+    /// time-passage phases call this first, so that the hint and deadline
+    /// caches they read describe the states time will pass over. A
+    /// component stepped by several events of one instant is asked once.
+    fn settle_notes(&mut self) {
+        let mut pending = std::mem::take(&mut self.unnoted);
+        for &id in &pending {
+            self.note_due[id] = false;
+            self.note(id);
         }
-        self.in_always[id] = false;
-        if let WakeHint::At(t) = hint {
-            self.wake_heap.push(t, id);
-        }
-        let d = rt.comp.deadline(&rt.state, self.now);
-        self.dl_cached[id] = d;
-        if let Some(d) = d {
-            self.dl_heap.push(d, id);
-        }
-    }
-
-    /// Rebuilds both heaps exactly from the caches, dropping every stale
-    /// duplicate. Only called when nothing is dirty, so every cache entry
-    /// is current.
-    fn rebuild_heaps(&mut self) {
-        self.wake_heap.clear();
-        self.dl_heap.clear();
-        for id in 0..self.timed.len() {
-            match self.wake_cached[id] {
-                WakeHint::Always => {}
-                hint => {
-                    if let WakeHint::At(t) = hint {
-                        self.wake_heap.push(t, id);
-                    }
+        pending.clear();
+        self.unnoted = pending;
+        // The deadline heap accumulates stale duplicates; once they exceed
+        // a small multiple of the component count, rebuild it exactly from
+        // the (now all-fresh) caches.
+        if self.dl_heap.len() > 2 * self.timed.len() + 64 {
+            self.dl_heap.clear();
+            for id in 0..self.timed.len() {
+                if self.wake_cached[id] != WakeHint::Always {
                     if let Some(d) = self.dl_cached[id] {
                         self.dl_heap.push(d, id);
                     }
                 }
             }
         }
+    }
+
+    /// Records component `id`'s wake hint and deadline as of its current
+    /// state — the two facts the time-passage phases read instead of
+    /// asking the component again.
+    ///
+    /// A timed component goes into `timed_wake` and, unless it hints
+    /// `Always`, the deadline heap. A node component goes into its node's
+    /// wake set and joins or leaves the node's deadline `holders`. Its
+    /// deadline is kept whatever it hints: a component that promised
+    /// nothing is woken — hence dirtied and re-noted — by every advance,
+    /// so the entry is as fresh as the node clock whenever it is read.
+    fn note(&mut self, id: usize) {
+        match self.flat_origin[id] {
+            Origin::Timed(i) => {
+                let rt = &self.timed[i];
+                let hint = rt.comp.wake_hint(&rt.state, self.now);
+                self.timed_wake
+                    .note(id, hint, &mut self.wake_cached, &mut self.wake_flags);
+                if hint == WakeHint::Always {
+                    self.dl_cached[id] = None;
+                    return;
+                }
+                let d = rt.comp.deadline(&rt.state, self.now);
+                self.dl_cached[id] = d;
+                if let Some(d) = d {
+                    self.dl_heap.push(d, id);
+                }
+            }
+            Origin::Node(n, j) => {
+                let node = &mut self.nodes[n];
+                let (comp, state) = &node.comps[j];
+                let hint = comp.clock_wake(state, node.clock);
+                let d = comp.clock_deadline(state, node.clock);
+                node.wake
+                    .note(id, hint, &mut self.wake_cached, &mut self.wake_flags);
+                self.dl_cached[id] = d;
+                let pos = self.holder_pos[id];
+                if d.is_some() && pos == NOT_HOLDING {
+                    self.holder_pos[id] = node.holders.len() as u32;
+                    node.holders.push(id);
+                } else if d.is_none() && pos != NOT_HOLDING {
+                    node.holders.swap_remove(pos as usize);
+                    if let Some(&moved) = node.holders.get(pos as usize) {
+                        self.holder_pos[moved] = pos;
+                    }
+                    self.holder_pos[id] = NOT_HOLDING;
+                }
+            }
+        }
+    }
+
+    /// Empties every structure `note` fills; each component must be
+    /// re-noted (by a refresh) before the next time advance.
+    fn forget_notes(&mut self) {
+        self.unnoted.clear();
+        self.note_due.fill(false);
+        self.timed_wake.clear(&mut self.wake_flags);
+        self.dl_heap.clear();
+        for node in &mut self.nodes {
+            node.wake.clear(&mut self.wake_flags);
+            node.holders.clear();
+        }
+        self.holder_pos.fill(NOT_HOLDING);
     }
 
     /// Forgets every derived cache. Called after a mid-advance error
@@ -1250,11 +1253,7 @@ impl<A: Action> Engine<A> {
         self.dirty.fill(true);
         self.dirty_ids.clear();
         self.all_dirty = true;
-        self.dc_scratch_valid = false;
-        self.wake_heap.clear();
-        self.dl_heap.clear();
-        self.always_ids.clear();
-        self.in_always.fill(false);
+        self.forget_notes();
     }
 
     fn origin_name(&self, o: Origin) -> String {
@@ -1266,119 +1265,153 @@ impl<A: Action> Engine<A> {
         }
     }
 
-    /// Applies `action` to every component having it in signature.
+    /// The components to visit when `action` fires: ascending flat ids, a
+    /// superset of the components that have it in signature.
     ///
-    /// Routed: only the components whose `action_names` hint lists
-    /// `action.name()` — plus the wildcard components — are visited, in
-    /// flat (insertion) order. By the hint contract every skipped
-    /// component classifies the action as `None`, so the sequence of
-    /// components actually stepped is identical to a full scan.
-    fn fire(&mut self, action: A, origin: Origin) -> Result<(), EngineError> {
-        let kind = match origin {
-            Origin::Timed(i) => self.timed[i].comp.classify(&action),
-            Origin::Node(n, j) => self.nodes[n].comps[j].0.classify(&action),
+    /// An action without a [`route_key`](Action::route_key) visits every
+    /// component whose `action_names` hint lists its name, plus the
+    /// wildcard components (a name no hint mentions visits the wildcard
+    /// components alone). A keyed action visits only those of them that
+    /// classify it — found by asking each once, the first time the
+    /// `(name, key)` pair fires, and remembered: by the key contract every
+    /// later action of that name and key has the same answer. Debug builds
+    /// ask again every time and compare.
+    fn visit_list(&mut self, action: &A) -> Span {
+        let Some(by_name) = self.route.get_mut(action.name()) else {
+            return self.wildcard;
+        };
+        let Some(key) = action.route_key() else {
+            return by_name.all;
+        };
+        let all = by_name.all;
+        let (timed, nodes, flat_origin) = (&self.timed, &self.nodes, &self.flat_origin);
+        let in_signature = |id: u32| match flat_origin[id as usize] {
+            Origin::Timed(i) => timed[i].comp.classify(action).is_some(),
+            Origin::Node(n, j) => nodes[n].comps[j].0.classify(action).is_some(),
+        };
+        let pool = &mut self.route_pool;
+        match by_name.keyed.entry(key) {
+            Entry::Occupied(e) => {
+                let span = *e.get();
+                debug_assert!(
+                    pool[all.range()]
+                        .iter()
+                        .filter(|&&id| in_signature(id))
+                        .eq(&pool[span.range()]),
+                    "route_key contract broken: {action:?} shares name and key with an \
+                     earlier action but not its signature set"
+                );
+                span
+            }
+            Entry::Vacant(v) => {
+                let start = pool.len();
+                for k in all.range() {
+                    let id = pool[k];
+                    if in_signature(id) {
+                        pool.push(id);
+                    }
+                }
+                *v.insert(Span::appended(pool, start))
+            }
         }
-        .expect("origin component must have the action in its signature");
-        debug_assert!(kind.is_locally_controlled());
-        self.dc_scratch_valid = false;
+    }
 
-        // The visit list was merged (routed + wildcard, ascending) at build
-        // time; an action name no hint mentions visits the wildcard
-        // components alone. The `Rc` clone is a refcount bump, freeing
-        // `self` for the mutable component steps below.
-        let interested: Rc<[usize]> = self
-            .route
-            .get(action.name())
-            .cloned()
-            .unwrap_or_else(|| Rc::clone(&self.wildcard));
-
+    /// Applies `action` to every component having it in signature and
+    /// records the event — the synchronization rule of Definition 2.2.
+    ///
+    /// `origin` is the component that offered the action (it controls it,
+    /// and the event is recorded with its classification); `None` means
+    /// the environment did ([`Engine::inject`]: recorded as an input, and
+    /// no component may claim control). Only the components on the
+    /// action's [visit list](Engine::visit_list) are asked, in flat
+    /// (insertion) order; every skipped component classifies the action as
+    /// `None`, so the sequence of components actually stepped is identical
+    /// to a full scan.
+    fn apply(&mut self, action: A, origin: Option<Origin>) -> Result<(), EngineError> {
+        let visit = self.visit_list(&action);
+        let now = self.now;
         // The clock recorded with the event is the clock of the (unique)
         // node that has the action in its signature — the `c_i(α)` of
         // Section 4.3. Actions touching no clock node carry no clock.
         let mut event_clock: Option<(usize, Time)> = None;
-
-        let now = self.now;
-        for &id in interested.iter() {
-            match self.flat_origin[id] {
+        let mut origin_kind = None;
+        let mut stepped = false;
+        for k in visit.range() {
+            let id = self.route_pool[k] as usize;
+            let at = self.flat_origin[id];
+            let is_origin = origin == Some(at);
+            let classified = match at {
+                Origin::Timed(i) => self.timed[i].comp.classify(&action),
+                Origin::Node(n, j) => self.nodes[n].comps[j].0.classify(&action),
+            };
+            let Some(class) = classified else { continue };
+            if let Origin::Node(n, _) = at {
+                event_clock.get_or_insert((n, self.nodes[n].clock));
+            }
+            if is_origin {
+                debug_assert!(class.is_locally_controlled());
+                origin_kind = Some(class);
+            } else if class.is_locally_controlled() {
+                let second = if origin.is_some() {
+                    "<origin>"
+                } else {
+                    "<injected>"
+                };
+                return Err(EngineError::IncompatibleControllers {
+                    first: self.origin_name(at),
+                    second: String::from(second),
+                    action: format!("{action:?}"),
+                });
+            }
+            let next = match at {
                 Origin::Timed(i) => {
-                    let rt = &mut self.timed[i];
-                    let Some(k) = rt.comp.classify(&action) else {
-                        continue;
-                    };
-                    if k.is_locally_controlled() && Origin::Timed(i) != origin {
-                        return Err(EngineError::IncompatibleControllers {
-                            first: rt.comp.name().to_string(),
-                            second: String::from("<origin>"),
-                            action: format!("{action:?}"),
-                        });
-                    }
-                    match rt.comp.step(&rt.state, &action, now) {
-                        Some(next) => {
-                            rt.state = next;
-                            if !self.dirty[id] {
-                                self.dirty[id] = true;
-                                self.dirty_ids.push(id);
-                            }
-                        }
-                        None if Origin::Timed(i) == origin => {
-                            return Err(EngineError::EnabledButRefused {
-                                component: rt.comp.name().to_string(),
-                                action: format!("{action:?}"),
-                                now,
-                            })
-                        }
-                        None => {
-                            return Err(EngineError::InputNotEnabled {
-                                component: rt.comp.name().to_string(),
-                                action: format!("{action:?}"),
-                                now,
-                            })
-                        }
-                    }
+                    let rt = &self.timed[i];
+                    rt.comp.step(&rt.state, &action, now)
                 }
                 Origin::Node(n, j) => {
-                    let node = &mut self.nodes[n];
-                    let clock = node.clock;
-                    let (comp, state) = &mut node.comps[j];
-                    let Some(k) = comp.classify(&action) else {
-                        continue;
-                    };
-                    if event_clock.is_none() {
-                        event_clock = Some((n, clock));
-                    }
-                    if k.is_locally_controlled() && Origin::Node(n, j) != origin {
-                        return Err(EngineError::IncompatibleControllers {
-                            first: format!("{}/{}", node.name, comp.name()),
-                            second: String::from("<origin>"),
-                            action: format!("{action:?}"),
-                        });
-                    }
-                    match comp.step(state, &action, clock) {
-                        Some(next) => {
-                            *state = next;
-                            if !self.dirty[id] {
-                                self.dirty[id] = true;
-                                self.dirty_ids.push(id);
-                            }
-                        }
-                        None if Origin::Node(n, j) == origin => {
-                            return Err(EngineError::EnabledButRefused {
-                                component: format!("{}/{}", node.name, comp.name()),
-                                action: format!("{action:?}"),
-                                now,
-                            })
-                        }
-                        None => {
-                            return Err(EngineError::InputNotEnabled {
-                                component: format!("{}/{}", node.name, comp.name()),
-                                action: format!("{action:?}"),
-                                now,
-                            })
-                        }
-                    }
+                    let node = &self.nodes[n];
+                    let (comp, state) = &node.comps[j];
+                    comp.step(state, &action, node.clock)
                 }
+            };
+            let Some(next) = next else {
+                let (component, action) = (self.origin_name(at), format!("{action:?}"));
+                return Err(if is_origin {
+                    EngineError::EnabledButRefused {
+                        component,
+                        action,
+                        now,
+                    }
+                } else {
+                    EngineError::InputNotEnabled {
+                        component,
+                        action,
+                        now,
+                    }
+                });
+            };
+            match at {
+                Origin::Timed(i) => self.timed[i].state = next,
+                Origin::Node(n, j) => self.nodes[n].comps[j].1 = next,
+            }
+            stepped = true;
+            if !self.dirty[id] {
+                self.dirty[id] = true;
+                self.dirty_ids.push(id);
             }
         }
+        let kind = match origin {
+            Some(_) => origin_kind.expect("origin component must have the action in its signature"),
+            None if stepped => psync_automata::ActionKind::Input,
+            // Nothing has the action in signature: the injection would
+            // vanish without a trace.
+            None => {
+                return Err(EngineError::UnclaimedInjection {
+                    action: format!("{action:?}"),
+                    now,
+                })
+            }
+        };
 
         // The action moves into the event (it was handed over by value from
         // the candidate list) and the node name is the interned `Arc<str>`
@@ -1422,166 +1455,165 @@ impl<A: Action> Engine<A> {
     /// advances in a row produce no event (`pessimistic`), it falls back to
     /// the hard cap to guarantee progress.
     ///
+    /// Beyond the components that changed since time last passed
+    /// (`settle_notes`), no component is asked anything here except the
+    /// timed components hinting `Always`: every other deadline was cached
+    /// by `note` and is exact (nothing is dirty — the caller just refreshed
+    /// and found no candidate). The cost is
+    /// O(`Always` timed components + nodes + components holding a clock
+    /// deadline), not O(components).
+    ///
     /// # Errors
     ///
     /// Detects stopped time: a deadline at or before `now` with nothing
     /// enabled (the caller guarantees no candidates exist).
     fn compute_target(&mut self, pessimistic: bool) -> Result<Option<Time>, EngineError> {
-        // Track only the minimum and the (flat) index it came from; the
-        // component *name* — a `String` the old implementation allocated
-        // for every component on every call — is materialised lazily, on
-        // the error path alone.
+        debug_assert!(!self.all_dirty && self.dirty_ids.is_empty());
+        self.settle_notes();
         let mut best: Option<Time> = None;
         let consider = |t: Time, best: &mut Option<Time>| match best {
             Some(b) if *b <= t => {}
             _ => *best = Some(t),
         };
-        // ---- timed components: heap fast path -------------------------
+        // ---- timed components ------------------------------------------
         // `Always` components promise nothing across time passage, so
-        // their deadlines are re-queried on every call (compacting the
-        // membership list as stale entries surface). Everything else
+        // their deadlines are re-queried on every call. Everything else
         // cached its deadline at its last refresh; the earliest live one
         // sits at the top of the lazy heap once stale entries are popped.
         // A deadline at or before `now` is an anomaly (nothing is enabled,
-        // yet something is due): rerun the legacy scan so the
-        // `TimeStopped` error names the same (first-in-flat-order)
-        // component the reference engine would.
-        let mut anomaly = false;
-        let mut k = 0;
-        while k < self.always_ids.len() {
-            let id = self.always_ids[k];
-            if !self.in_always[id] {
-                self.always_ids.swap_remove(k);
-                continue;
-            }
-            k += 1;
+        // yet something is due): `time_stopped` then names the component
+        // the scan-everything engine would.
+        let now = self.now;
+        for &id in self.timed_wake.retain_always(&mut self.wake_flags) {
             let rt = &self.timed[id];
-            if let Some(d) = rt.comp.deadline(&rt.state, self.now) {
-                if d <= self.now {
-                    anomaly = true;
-                    break;
+            if let Some(d) = rt.comp.deadline(&rt.state, now) {
+                if d <= now {
+                    return Err(self.time_stopped());
                 }
                 consider(d, &mut best);
             }
         }
-        while !anomaly {
-            let Some((d, id)) = self.dl_heap.peek() else {
-                break;
-            };
+        while let Some((d, id)) = self.dl_heap.peek() {
             let live = self.wake_cached[id] != WakeHint::Always && self.dl_cached[id] == Some(d);
             if !live {
                 let _ = self.dl_heap.pop();
                 continue;
             }
-            if d <= self.now {
-                anomaly = true;
-            } else {
-                consider(d, &mut best);
+            if d <= now {
+                return Err(self.time_stopped());
             }
+            consider(d, &mut best);
             break;
         }
-        if anomaly {
-            best = None;
-            for rt in &self.timed {
-                if let Some(d) = rt.comp.deadline(&rt.state, self.now) {
-                    if d <= self.now {
-                        return Err(EngineError::TimeStopped {
-                            component: rt.comp.name().to_string(),
-                            now: self.now,
-                            deadline: d,
-                        });
-                    }
-                    consider(d, &mut best);
+        // ---- clock nodes -----------------------------------------------
+        // Only the components holding a clock deadline matter; `min` is
+        // order-blind, so the unordered holder lists do. `when_reaches` is
+        // asked for every holder, not just the node's earliest deadline: a
+        // strategy's estimate need not be monotone in the clock value.
+        for node in &self.nodes {
+            for &id in &node.holders {
+                let dc = self.dl_cached[id].expect("a holder caches a deadline");
+                let cap = node.pred.latest_now_for(dc);
+                if cap <= now {
+                    return Err(self.time_stopped());
                 }
+                let aim = if pessimistic {
+                    cap
+                } else {
+                    node.strategy
+                        .when_reaches(now, node.clock, dc)
+                        .max(now + Duration::NANOSECOND)
+                        .min(cap)
+                };
+                consider(aim, &mut best);
             }
         }
-        // ---- clock nodes: one legacy pass (it also fills the deadline
-        // scratch and must consult each strategy exactly once) -----------
-        for (n, node) in self.nodes.iter().enumerate() {
-            let mut node_min_dc: Option<Time> = None;
-            for (comp, state) in &node.comps {
-                if let Some(dc) = comp.clock_deadline(state, node.clock) {
-                    let cap = node.pred.latest_now_for(dc);
-                    if cap <= self.now {
-                        return Err(EngineError::TimeStopped {
-                            component: format!("{}/{}", node.name, comp.name()),
-                            now: self.now,
-                            deadline: cap,
-                        });
-                    }
-                    let aim = if pessimistic {
-                        cap
-                    } else {
-                        node.strategy
-                            .when_reaches(self.now, node.clock, dc)
-                            .max(self.now + Duration::NANOSECOND)
-                            .min(cap)
-                    };
-                    consider(aim, &mut best);
-                    consider(dc, &mut node_min_dc);
-                }
-            }
-            // Remember the node's earliest clock deadline for the
-            // `advance_to` that follows: no state changes in between, so
-            // the value is still exact there.
-            self.node_dc_scratch[n] = node_min_dc;
-        }
-        self.dc_scratch_valid = true;
         Ok(best)
+    }
+
+    /// The [`EngineError::TimeStopped`] for the first component, in flat
+    /// order, whose deadline is at or before `now` — the attribution of
+    /// the scan-everything engine. `compute_target` found *some* such
+    /// component through its indexes, which are unordered; this error-path
+    /// scan asks every component to find the first.
+    fn time_stopped(&self) -> EngineError {
+        let now = self.now;
+        for rt in &self.timed {
+            if let Some(deadline) = rt.comp.deadline(&rt.state, now).filter(|d| *d <= now) {
+                return EngineError::TimeStopped {
+                    component: rt.comp.name().to_string(),
+                    now,
+                    deadline,
+                };
+            }
+        }
+        for node in &self.nodes {
+            for (comp, state) in &node.comps {
+                let cap = comp
+                    .clock_deadline(state, node.clock)
+                    .map(|dc| node.pred.latest_now_for(dc));
+                if let Some(deadline) = cap.filter(|cap| *cap <= now) {
+                    return EngineError::TimeStopped {
+                        component: format!("{}/{}", node.name, comp.name()),
+                        now,
+                        deadline,
+                    };
+                }
+            }
+        }
+        unreachable!(
+            "a cached deadline is at or before now but no component reports one: \
+             some component's wake hint broke its promise"
+        )
     }
 
     /// Performs `ν`, moving real time to `target` and each node clock
     /// along its strategy.
     ///
     /// Only the components that can be *touched* by the advance are woken:
-    /// every `Always`-mode timed component plus every timed component
-    /// whose promised wake time falls inside the advance, popped from the
-    /// wake heap in deterministic order (stale entries discarded against
-    /// the caches). Skipped components promised — via their
-    /// [`TimedComponent::wake_hint`] — that this advance is the identity
+    /// on each time basis — real time for the timed components, the node's
+    /// own clock for a node's components — the components hinting `Always`
+    /// plus those whose promised wake time falls inside the advance, taken
+    /// from that basis's [`WakeSet`] in ascending id order. Skipped
+    /// components promised — via [`TimedComponent::wake_hint`] /
+    /// [`ClockComponent::clock_wake`] — that this advance is the identity
     /// on their state and that their cached enabled set, deadline and hint
     /// remain exact, so neither their state nor their caches are invalid
-    /// afterwards. Node components make the same promise on the clock-time
-    /// basis and are consulted inline. When the hints wake most of the
-    /// system anyway, the next refresh is handed the cheaper all-dirty
-    /// rebuild instead of per-segment splices.
+    /// afterwards. A node never reads another node's clock, so what `ν`
+    /// can change at a node is decided by that node's own hints alone.
+    ///
+    /// Every node *is* visited: its strategy must be consulted and its
+    /// clock validated exactly once per `ν`, in node order, whether or not
+    /// any of its components wakes. That is the one O(nodes) term; the
+    /// rest is O(woken · log). When the hints wake most of the system
+    /// anyway, the next refresh is handed the cheaper all-dirty rebuild
+    /// instead of per-segment splices.
     ///
     /// Any mid-advance error leaves partially advanced states behind, so
     /// every error path forgets all derived caches first.
     fn advance_to(&mut self, target: Time) -> Result<(), EngineError> {
         debug_assert!(target > self.now);
+        // The hint and deadline caches are exact only for clean
+        // components; every caller refreshes first.
+        debug_assert!(!self.all_dirty && self.dirty_ids.is_empty());
+        self.settle_notes();
         let now = self.now;
         for obs in &mut self.observers {
             obs.on_advance(now, target);
         }
-        let use_scratch = self.dc_scratch_valid;
-        self.dc_scratch_valid = false;
 
-        // ---- timed components: wake only what the hints allow ----------
-        // Ascending id order (after sort+dedup — the lazy structures may
-        // yield duplicates) keeps first-refuser error attribution
-        // identical to the legacy whole-system scan: a skipped component
-        // promised its advance succeeds, so the first refuser among the
-        // woken ids is the first refuser outright.
+        // ---- timed components ------------------------------------------
+        // Ascending id order keeps first-refuser error attribution
+        // identical to a whole-system scan: a skipped component promised
+        // its advance succeeds, so the first refuser among the woken ids
+        // is the first refuser outright.
         let mut touched = std::mem::take(&mut self.touched_scratch);
-        touched.clear();
-        let mut k = 0;
-        while k < self.always_ids.len() {
-            let id = self.always_ids[k];
-            if self.in_always[id] {
-                touched.push(id);
-                k += 1;
-            } else {
-                self.always_ids.swap_remove(k);
-            }
-        }
-        while let Some((t, id)) = self.wake_heap.pop_le(target) {
-            if self.wake_cached[id] == WakeHint::At(t) {
-                touched.push(id);
-            }
-        }
-        touched.sort_unstable();
-        touched.dedup();
+        self.timed_wake.due(
+            target,
+            &self.wake_cached,
+            &mut self.wake_flags,
+            &mut touched,
+        );
         for &id in &touched {
             let rt = &mut self.timed[id];
             match rt.comp.advance(&rt.state, now, target) {
@@ -1603,26 +1635,15 @@ impl<A: Action> Engine<A> {
             }
         }
         let mut dirtied = touched.len();
-        self.touched_scratch = touched;
 
-        // ---- clock nodes: the legacy loop, with hint-gated advances ----
-        // Every node is still visited (its strategy must be consulted and
-        // its clock validated exactly once per `ν`), but a component whose
-        // `clock_wake` promises sleep past the new clock value skips the
-        // state-cloning `advance` call and stays clean.
+        // ---- clock nodes -----------------------------------------------
         let mut failed: Option<EngineError> = None;
-        let mut flat = self.timed.len();
         'nodes: for (n, node) in self.nodes.iter_mut().enumerate() {
-            let base = flat;
-            flat += node.comps.len();
-            let max_clock = if use_scratch {
-                self.node_dc_scratch[n]
-            } else {
-                node.comps
-                    .iter()
-                    .filter_map(|(c, s)| c.clock_deadline(s, node.clock))
-                    .min()
-            };
+            let max_clock = node
+                .holders
+                .iter()
+                .map(|&id| self.dl_cached[id].expect("a holder caches a deadline"))
+                .min();
             if let Some(mc) = max_clock {
                 if mc <= node.clock {
                     // A clock deadline is due but nothing fired: the node
@@ -1672,12 +1693,14 @@ impl<A: Action> Engine<A> {
                     break 'nodes;
                 }
             }
-            for (j, (comp, state)) in node.comps.iter_mut().enumerate() {
-                match comp.clock_wake(state, node.clock) {
-                    WakeHint::Never => continue,
-                    WakeHint::At(t) if t > next_clock => continue,
-                    _ => {}
-                }
+            node.wake.due(
+                next_clock,
+                &self.wake_cached,
+                &mut self.wake_flags,
+                &mut touched,
+            );
+            for &id in &touched {
+                let (comp, state) = &mut node.comps[id - node.base];
                 match comp.advance(state, node.clock, next_clock) {
                     Some(next) => *state = next,
                     None => {
@@ -1689,13 +1712,12 @@ impl<A: Action> Engine<A> {
                         break 'nodes;
                     }
                 }
-                let id = base + j;
                 if !self.dirty[id] {
                     self.dirty[id] = true;
                     self.dirty_ids.push(id);
                 }
-                dirtied += 1;
             }
+            dirtied += touched.len();
             for obs in self.observers.iter_mut() {
                 obs.on_clock_read(ClockRead {
                     node: n,
@@ -1706,6 +1728,7 @@ impl<A: Action> Engine<A> {
             }
             node.clock = next_clock;
         }
+        self.touched_scratch = touched;
         if let Some(err) = failed {
             self.invalidate_caches();
             return Err(err);

@@ -47,6 +47,7 @@ mod driver;
 mod engine;
 mod error;
 mod fasthash;
+mod fenwick;
 mod observer;
 mod reference;
 mod scheduler;

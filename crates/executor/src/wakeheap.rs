@@ -24,7 +24,9 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
+use psync_automata::WakeHint;
 use psync_time::Time;
 
 /// A min-heap of `(time, component-index)` pairs with deterministic
@@ -73,6 +75,120 @@ impl WakeHeap {
     /// Number of live entries (including stale duplicates).
     pub(crate) fn len(&self) -> usize {
         self.heap.len()
+    }
+}
+
+/// `flags[id]` bit: the component currently hints `Always`.
+const LIVE: u8 = 1;
+/// `flags[id]` bit: an entry for the component sits in a `WakeSet` list.
+const LISTED: u8 = 2;
+
+/// Who must be woken by a time advance, for one group of components that
+/// share a time basis: all timed components (real time), or the
+/// components of one clock node (that node's clock).
+///
+/// The group's members are the contiguous flat ids `ids`. Each member's
+/// latest hint lives in the engine's flat `cached` table; this set indexes
+/// it: `Always` members in an unordered list, `At(t)` members in a lazy
+/// [`WakeHeap`] (an entry is live iff the member still caches exactly
+/// that `At(t)`), `Never` members nowhere. The `flags` table (flat, shared
+/// by all groups like `cached`) keeps list membership exact without a
+/// search: a member that stops hinting `Always` keeps its list entry until
+/// the next [`WakeSet::due`] drops it, and is not listed twice meanwhile.
+#[derive(Debug, Clone)]
+pub(crate) struct WakeSet {
+    ids: Range<usize>,
+    always: Vec<usize>,
+    heap: WakeHeap,
+}
+
+impl WakeSet {
+    /// An empty set over the members `ids`.
+    pub(crate) fn new(ids: Range<usize>) -> Self {
+        WakeSet {
+            ids,
+            always: Vec::new(),
+            heap: WakeHeap::new(),
+        }
+    }
+
+    /// Records member `id`'s fresh hint. Heap pushes are unconditional — a
+    /// push per refresh is cheaper than any in-heap lookup — and the heap
+    /// is rebuilt from `cached` once stale entries outnumber the members.
+    pub(crate) fn note(
+        &mut self,
+        id: usize,
+        hint: WakeHint,
+        cached: &mut [WakeHint],
+        flags: &mut [u8],
+    ) {
+        debug_assert!(self.ids.contains(&id));
+        cached[id] = hint;
+        match hint {
+            WakeHint::Always => {
+                if flags[id] & LISTED == 0 {
+                    self.always.push(id);
+                }
+                flags[id] = LIVE | LISTED;
+            }
+            WakeHint::At(t) => {
+                flags[id] &= !LIVE;
+                self.heap.push(t, id);
+                if self.heap.len() > 2 * self.ids.len() + 64 {
+                    self.heap.clear();
+                    for id in self.ids.clone() {
+                        if let WakeHint::At(t) = cached[id] {
+                            self.heap.push(t, id);
+                        }
+                    }
+                }
+            }
+            WakeHint::Never => flags[id] &= !LIVE,
+        }
+    }
+
+    /// Fills `out`, ascending and without duplicates, with every member an
+    /// advance of the group's time basis to `limit` must wake: the
+    /// `Always` members and those whose `At(t)` has `t <= limit`. Popped
+    /// heap entries are gone for good — a woken member is re-noted at its
+    /// next refresh.
+    pub(crate) fn due(
+        &mut self,
+        limit: Time,
+        cached: &[WakeHint],
+        flags: &mut [u8],
+        out: &mut Vec<usize>,
+    ) {
+        out.clear();
+        out.extend_from_slice(self.retain_always(flags));
+        while let Some((t, id)) = self.heap.pop_le(limit) {
+            if cached[id] == WakeHint::At(t) {
+                out.push(id);
+            }
+        }
+        // Re-noting pushes duplicate heap entries.
+        out.sort_unstable();
+        out.dedup();
+    }
+
+    /// The live `Always` members, dropping stale list entries on the way.
+    pub(crate) fn retain_always(&mut self, flags: &mut [u8]) -> &[usize] {
+        self.always.retain(|&id| {
+            let live = flags[id] & LIVE != 0;
+            if !live {
+                flags[id] = 0;
+            }
+            live
+        });
+        &self.always
+    }
+
+    /// Forgets everything (the members' `flags` included): every member is
+    /// about to be re-noted.
+    pub(crate) fn clear(&mut self, flags: &mut [u8]) {
+        self.always.clear();
+        self.heap.clear();
+        flags[self.ids.clone()].fill(0);
     }
 }
 
@@ -145,5 +261,46 @@ mod tests {
         assert_eq!(h.len(), 1);
         h.clear();
         assert_eq!(h.pop(), None);
+    }
+
+    #[test]
+    fn wake_set_wakes_always_and_due_members_once_each() {
+        let mut cached = vec![WakeHint::Never; 6];
+        let mut flags = vec![0u8; 6];
+        let mut set = WakeSet::new(2..6);
+        set.note(2, WakeHint::Always, &mut cached, &mut flags);
+        set.note(3, WakeHint::At(at(5)), &mut cached, &mut flags);
+        set.note(4, WakeHint::At(at(9)), &mut cached, &mut flags);
+        set.note(5, WakeHint::Never, &mut cached, &mut flags);
+        // Re-noting pushes a duplicate heap entry and must not list twice.
+        set.note(3, WakeHint::At(at(5)), &mut cached, &mut flags);
+        set.note(2, WakeHint::Always, &mut cached, &mut flags);
+        let mut out = vec![99];
+        set.due(at(5), &cached, &mut flags, &mut out);
+        assert_eq!(out, vec![2, 3]);
+        // 3 was popped; 4 is superseded, so its old entry is stale.
+        set.note(4, WakeHint::At(at(20)), &mut cached, &mut flags);
+        set.note(2, WakeHint::Never, &mut cached, &mut flags);
+        set.due(at(10), &cached, &mut flags, &mut out);
+        assert_eq!(out, Vec::<usize>::new());
+        assert_eq!(flags[2], 0);
+        // Back to `Always` after the stale entry was dropped: listed again.
+        set.note(2, WakeHint::Always, &mut cached, &mut flags);
+        set.due(at(20), &cached, &mut flags, &mut out);
+        assert_eq!(out, vec![2, 4]);
+    }
+
+    #[test]
+    fn wake_set_heap_stays_bounded_under_renoting() {
+        let mut cached = vec![WakeHint::Never; 3];
+        let mut flags = vec![0u8; 3];
+        let mut set = WakeSet::new(0..3);
+        for k in 0..10_000 {
+            set.note(k % 3, WakeHint::At(at(k as i64)), &mut cached, &mut flags);
+        }
+        assert!(set.heap.len() <= 2 * 3 + 64);
+        let mut out = Vec::new();
+        set.due(at(10_000), &cached, &mut flags, &mut out);
+        assert_eq!(out, vec![0, 1, 2]);
     }
 }

@@ -6,7 +6,7 @@
 //! incremental machinery:
 //!
 //! * toys + clock nodes — dirty-set refresh across time advances and the
-//!   deadline scratch;
+//!   per-node wake sets and deadline holders;
 //! * heartbeaters over FIFO and lossy channels — the routing table with
 //!   shared `SENDMSG`/`RECVMSG` names and same-instant event bursts;
 //! * heartbeaters over plain reordering channels — wildcard-free routing

@@ -41,8 +41,8 @@ fn tied_mix_new(mut b: EngineBuilder<BeepAction>) -> EngineBuilder<BeepAction> {
         b = b.timed(Beeper::with_src(ms(5), src));
     }
     // One off-grid beeper so the heap also holds a *distinct* smaller
-    // deadline between bursts, and two clock nodes so ties coexist with
-    // the uncached clock-component wake path.
+    // deadline between bursts, and two clock nodes so ties on the real-time
+    // basis coexist with wake-ups on the nodes' own clock bases.
     b.timed(Beeper::with_src(ms(3), 100))
         .clock_node(
             ClockNode::new("fast", ms(2), OffsetClock::new(ms(2), ms(2)))

@@ -98,6 +98,28 @@ where
             SysAction::Tau { .. } => "TAU",
         }
     }
+
+    /// Message actions are keyed by their edge `(src, dst)`: every
+    /// component of the library takes `SENDMSG`/`RECVMSG`/`ESENDMSG`/
+    /// `ERECVMSG` by source, by destination or by both, never by payload,
+    /// id or stamp. Application actions defer to their own key; `TICK` and
+    /// `TAU` are routed by name alone.
+    fn route_key(&self) -> Option<u64> {
+        match self {
+            SysAction::App(a) => a.route_key(),
+            SysAction::Send(env)
+            | SysAction::Recv(env)
+            | SysAction::ESend(env, _)
+            | SysAction::ERecv(env, _) => {
+                // Node ids past 2³² would collide when packed; routing by
+                // name alone is always correct.
+                let src = u32::try_from(env.src.0).ok()?;
+                let dst = u32::try_from(env.dst.0).ok()?;
+                Some((u64::from(src) << 32) | u64::from(dst))
+            }
+            SysAction::Tick { .. } | SysAction::Tau { .. } => None,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 use core::fmt::Debug;
 use core::hash::Hash;
 
-use psync_automata::{Action, ActionKind, TimedComponent};
+use psync_automata::{Action, ActionKind, TimedComponent, WakeHint};
 use psync_time::{DelayBounds, Time};
 
 use crate::{DelayPolicy, Envelope, NodeId, SysAction};
@@ -125,6 +125,12 @@ where
 
     fn deadline(&self, s: &Self::State, _now: Time) -> Option<Time> {
         s.iter().map(|f| f.due).min()
+    }
+
+    fn wake_hint(&self, s: &Self::State, now: Time) -> WakeHint {
+        // As for the timed channel: nothing surfaces before the earliest
+        // due time, and new sends arrive through `step`.
+        self.deadline(s, now).map_or(WakeHint::Never, WakeHint::At)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Algorithm S / Algorithm L: the timed automaton of Figure 3.
 
-use psync_automata::{ActionKind, TimedComponent};
+use psync_automata::{ActionKind, TimedComponent, WakeHint};
 use psync_net::{Envelope, MsgId, NodeId, SysAction};
 use psync_time::Time;
 
@@ -312,6 +312,15 @@ impl TimedComponent for AlgorithmS {
 
     fn deadline(&self, s: &AlgState, _now: Time) -> Option<Time> {
         self.mintime(s)
+    }
+
+    fn wake_hint(&self, s: &AlgState, _now: Time) -> WakeHint {
+        // Every enabling condition is `stored time == now` for one of the
+        // times `mintime` ranges over, and `mintime` itself does not read
+        // `now`: strictly below it nothing is enabled, the deadline stands
+        // and `ν` is the identity. With no stored time at all the state
+        // only changes by an input, a step.
+        self.mintime(s).map_or(WakeHint::Never, WakeHint::At)
     }
 }
 

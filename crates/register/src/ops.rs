@@ -105,6 +105,12 @@ impl Action for RegisterOp {
             RegisterOp::Update { .. } => "UPDATE",
         }
     }
+
+    /// Keyed by node: the register algorithms and workloads take an
+    /// operation by the node it belongs to, never by value or time.
+    fn route_key(&self) -> Option<u64> {
+        Some(self.node().0 as u64)
+    }
 }
 
 /// The message payload of the register algorithms: the `(v, t)` of

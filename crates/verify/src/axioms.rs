@@ -13,8 +13,15 @@
 //!   state as advancing straight to `t₂` (axioms S4/S5 and C4 — this is
 //!   what licenses the engine to merge and split `ν` steps freely);
 //! * deadlines never move backwards while time passes.
+//!
+//! [`check_wake_hint`] / [`check_clock_wake`] check a different kind of
+//! obligation at one given state: that a component's
+//! [`WakeHint`] promise — which the engine trusts when it skips the
+//! component during a time advance — holds literally.
 
-use psync_automata::{ClockComponent, TimedComponent};
+use core::fmt::Debug;
+
+use psync_automata::{ClockComponent, TimedComponent, WakeHint};
 use psync_time::{Duration, Time};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -209,6 +216,89 @@ where
     Ok(())
 }
 
+/// Checks the promise [`TimedComponent::wake_hint`] makes at `(s, now)`,
+/// literally as the trait documents it: for sampled `v` with
+/// `now < v < t` (`At(t)`; any `v > now` for `Never`), `advance(s, now, v)`
+/// succeeds, and `enabled`, `deadline` and `wake_hint` at `v` — asked of
+/// the advanced state *and* of `s` itself, which is the state the engine
+/// keeps when it skips the advance — equal those at `now`. `Always`, and
+/// `At(t)` with `t <= now`, promise nothing and pass.
+///
+/// # Errors
+///
+/// A description of the first sample at which the promise breaks.
+pub fn check_wake_hint<C: TimedComponent>(c: &C, s: &C::State, now: Time) -> Result<(), String> {
+    check_promise(
+        &c.name(),
+        s,
+        now,
+        |s, from, to| c.advance(s, from, to),
+        |s, t| (c.enabled(s, t), c.deadline(s, t), c.wake_hint(s, t)),
+    )
+}
+
+/// [`check_wake_hint`] on the clock-time basis: the promise of
+/// [`ClockComponent::clock_wake`] at `(s, clock)`, over `enabled`,
+/// `clock_deadline` and `clock_wake`.
+///
+/// # Errors
+///
+/// A description of the first sample at which the promise breaks.
+pub fn check_clock_wake<C: ClockComponent>(c: &C, s: &C::State, clock: Time) -> Result<(), String> {
+    check_promise(
+        &c.name(),
+        s,
+        clock,
+        |s, from, to| c.advance(s, from, to),
+        |s, t| (c.enabled(s, t), c.clock_deadline(s, t), c.clock_wake(s, t)),
+    )
+}
+
+/// What a component answers at one instant: enabled set, deadline, hint.
+type Answers<A> = (Vec<A>, Option<Time>, WakeHint);
+
+fn check_promise<S, A: PartialEq + Debug>(
+    name: &str,
+    s: &S,
+    now: Time,
+    advance: impl Fn(&S, Time, Time) -> Option<S>,
+    answers: impl Fn(&S, Time) -> Answers<A>,
+) -> Result<(), String> {
+    let at_now = answers(s, now);
+    // The promise covers the open interval (now, end).
+    let end = match at_now.2 {
+        WakeHint::Always => return Ok(()),
+        WakeHint::At(t) => t,
+        WakeHint::Never => now + Duration::from_secs(1_000_000),
+    };
+    let tick = Duration::NANOSECOND;
+    if end <= now + tick {
+        return Ok(());
+    }
+    // Both edges of the interval, and eight points spread inside it.
+    let span = end - tick - (now + tick);
+    let samples = (0..=9).map(|k| now + tick + span * k / 9);
+    for v in samples {
+        let Some(advanced) = advance(s, now, v) else {
+            return Err(format!(
+                "{name}: hinted {:?} at {now}, yet advancing to {v} is refused",
+                at_now.2
+            ));
+        };
+        for (which, state) in [("advanced", &advanced), ("kept", s)] {
+            let at_v = answers(state, v);
+            if at_v != at_now {
+                return Err(format!(
+                    "{name}: hinted {:?} at {now}, yet the {which} state answers {at_v:?} at {v} \
+                     against {at_now:?} at {now}",
+                    at_now.2
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,5 +384,59 @@ mod tests {
     fn split_advance_divergence_caught() {
         let err = probe_timed(&SplitSensitive, &ProbeConfig::default()).unwrap_err();
         assert!(err.contains("S4/S5"), "unexpected report: {err}");
+    }
+
+    #[test]
+    fn library_toys_keep_their_hint_promises() {
+        let (beeper, clock_beeper) = (
+            Beeper::new(Duration::from_millis(3)),
+            ClockBeeper::new(Duration::from_millis(3)),
+        );
+        for at_us in [0, 1, 2_999, 3_000] {
+            let t = Time::ZERO + Duration::from_micros(at_us);
+            check_wake_hint(&beeper, &beeper.initial(), t).unwrap();
+            check_clock_wake(&clock_beeper, &clock_beeper.initial(), t).unwrap();
+        }
+    }
+
+    /// Beeps at 5 ms but promises to sleep until 8 ms.
+    #[derive(Debug, Clone)]
+    struct Oversleeper;
+
+    impl TimedComponent for Oversleeper {
+        type Action = &'static str;
+        type State = ();
+
+        fn name(&self) -> String {
+            "oversleeper".into()
+        }
+        fn initial(&self) {}
+        fn classify(&self, _: &&'static str) -> Option<ActionKind> {
+            Some(ActionKind::Output)
+        }
+        fn step(&self, _: &(), _: &&'static str, _: Time) -> Option<()> {
+            Some(())
+        }
+        fn enabled(&self, _: &(), now: Time) -> Vec<&'static str> {
+            if now >= Time::ZERO + Duration::from_millis(5) {
+                vec!["beep"]
+            } else {
+                Vec::new()
+            }
+        }
+        fn deadline(&self, _: &(), _: Time) -> Option<Time> {
+            None
+        }
+        fn wake_hint(&self, _: &(), _: Time) -> WakeHint {
+            WakeHint::At(Time::ZERO + Duration::from_millis(8))
+        }
+    }
+
+    #[test]
+    fn broken_hint_promise_caught() {
+        let err = check_wake_hint(&Oversleeper, &(), Time::ZERO).unwrap_err();
+        assert!(err.contains("state answers"), "unexpected report: {err}");
+        // From 5 ms on the answers no longer change: the same hint holds.
+        check_wake_hint(&Oversleeper, &(), Time::ZERO + Duration::from_millis(6)).unwrap();
     }
 }
