@@ -21,9 +21,8 @@
 //! acceptance bar on the spot: at 10⁶ events the approximate mode judges
 //! ≥ 3× the events/s of the exact post-hoc mode with a working set ≥ 20×
 //! smaller, the exact streaming witness equals the offline one, the
-//! approximate witness sits within ±err of it, a planted violation is
-//! rejected by every pipeline, and `ShardedEps` returns the sequential
-//! verdict for every shard count. `PSYNC_BENCH_SMOKE=1` caps the sweep at
+//! approximate witness sits within ±err of it, and a planted violation
+//! is rejected by every pipeline. `PSYNC_BENCH_SMOKE=1` caps the sweep at
 //! 10⁵ events and skips the throughput-ratio assertion (CI runners have
 //! no quiet cores to promise ratios on) while keeping every correctness
 //! assertion.
@@ -33,7 +32,7 @@ use std::time::Instant;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use psync_automata::relations::{eps_equivalent, ClassMap, RelationError, Witness};
 use psync_automata::{Action, TimedTrace};
-use psync_obs::{ApproxEps, ShardedEps, StreamingEps};
+use psync_obs::{ApproxEps, StreamingEps};
 use psync_time::{Duration, Time};
 
 /// A heap-allocated event label — the realistic (cache-unfriendly) case
@@ -178,10 +177,8 @@ fn median_ms(runs: usize, mut f: impl FnMut()) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// The differential and sharding pins, run at every length regardless of
-/// smoke mode.
+/// The differential pins, run at every length regardless of smoke mode.
 fn assert_verdicts(
-    n: usize,
     reference: &TimedTrace<Evt>,
     stream_events: &[(Evt, Time)],
     classes: &ClassMap<Evt>,
@@ -203,15 +200,6 @@ fn assert_verdicts(
         "approximate witness {approx:?} outside ±err of exact {exact:?}"
     );
     assert_eq!(approx.matched, exact.matched);
-
-    // Lane-sharded exact judging is verdict-identical to sequential.
-    let observed = TimedTrace::from_pairs(stream_events.iter().map(|(a, t)| (a.clone(), *t)));
-    for shards in [1, 2, 4] {
-        let sharded = ShardedEps::new(reference, EPS, classes, shards)
-            .check(&observed)
-            .expect("sharded check accepts the clean trace");
-        assert_eq!(sharded, exact, "shards={shards} diverged at n={n}");
-    }
 
     // A planted violation (last event pushed ε + 2·err late) is rejected
     // by every pipeline, and the approximate rejection survives the
@@ -267,7 +255,7 @@ fn write_artifact(classes: &ClassMap<Evt>) {
         let reference_trace = reference(n);
         let events = stream(n);
         let (approx_verdict, approx_mem) = stream_approx(&reference_trace, &events, classes);
-        assert_verdicts(n, &reference_trace, &events, classes, &approx_verdict);
+        assert_verdicts(&reference_trace, &events, classes, &approx_verdict);
         let exact_mem = exact_resident_bytes(&reference_trace);
         assert!(
             approx_mem * 20 < exact_mem,
@@ -302,20 +290,6 @@ fn write_artifact(classes: &ClassMap<Evt>) {
             }),
             approx_mem,
         );
-        // Lane-sharded exact judging over the pre-materialized trace:
-        // verdict-pinned in `assert_verdicts`; the timings record thread
-        // overhead on a 1-core host and scaling headroom on real cores.
-        let observed = TimedTrace::from_pairs(events.iter().map(|(a, t)| (a.clone(), *t)));
-        for shards in [2, 4] {
-            let checker = ShardedEps::new(&reference_trace, EPS, classes, shards);
-            record(
-                &format!("sharded_exact_s{shards}"),
-                median_ms(runs, || {
-                    black_box(checker.check(&observed)).ok();
-                }),
-                exact_mem,
-            );
-        }
         peak = Some((posthoc_ms, approx_ms));
     }
     let (posthoc_ms, approx_ms) = peak.expect("at least one length");

@@ -5,24 +5,16 @@
 //! ```text
 //! psync-explorer [--cases N] [--seed S] [--scenario all|<name>]
 //!                [--canaries all|<name>[,<name>...]]
-//!                [--max-entries N] [--jobs N] [--monitor-shards N]
-//!                [--online] [--bug-extra-ns N]
+//!                [--max-entries N] [--jobs N] [--online]
+//!                [--bug-extra-ns N]
 //!                [--metrics-out PATH] [--report-out PATH]
-//!                [--no-checkpoint-shrink]
 //! ```
 //!
 //! `--jobs N` runs each campaign's cases on `N` worker threads (default:
 //! `PSYNC_JOBS` or the machine's available parallelism). The report —
 //! stats, kind coverage, artifacts, metrics, exit code — is bit-identical
-//! for every `N`; `--jobs 1` is the plain sequential loop.
-//!
-//! `--monitor-shards N` fans each case's oracle set across `N` judge
-//! threads (default 1). Like `--jobs`, it is a pure performance knob:
-//! every verdict and metric is bit-identical for every `N`, which CI
-//! cross-checks by diffing stdout across shard counts. It only pays for
-//! itself when monitors run concurrently with the case, so it requires
-//! `--online`; passing it without `--online` is an error rather than a
-//! silent no-op.
+//! for every `N` (CI diffs stdout across job counts); `--jobs 1` is the
+//! plain sequential loop.
 //!
 //! `--online` judges heartbeat-family cases *while they run*: stream
 //! oracles ride the engine's observer hooks and a case stops the moment
@@ -41,7 +33,8 @@
 //! `--bug-extra-ns N` plants the demonstration bug (a boundary delay
 //! spike delivered `N` ns after `d₂`) in the heartbeat channel — the
 //! explorer is then expected to find it, shrink it, and print the
-//! replay artifact.
+//! replay artifact. Only the `heartbeat` scenario carries the bug, so the
+//! flag is rejected when `--scenario` selects anything else.
 //!
 //! `--metrics-out PATH` writes the observer metrics aggregated across all
 //! campaigns (counters and histograms, deterministic for fixed flags) as
@@ -53,12 +46,6 @@
 //! events/second — as JSON. The throughput figure is computed *here*,
 //! from wall-clock time, and lives only in this file's output: the
 //! library's `CampaignReport` stays a pure function of the seeds.
-//!
-//! `--no-checkpoint-shrink` makes every shrink probe re-run its case
-//! from scratch instead of resuming from a checkpoint of the failing
-//! base run. The output is byte-identical either way (CI diffs the two
-//! modes to prove it); the flag exists for that cross-check and for
-//! debugging the resume machinery.
 //!
 //! Exits non-zero iff any non-canary campaign found a violation or any
 //! canary went uncaught; each failure is printed as a full replay
@@ -94,7 +81,13 @@ fn parse_seed(s: &str) -> Result<u64, String> {
     parsed.map_err(|e| format!("bad seed {s:?}: {e}"))
 }
 
-fn parse_args(argv: &[String]) -> Result<Args, String> {
+const USAGE: &str = "usage: psync-explorer [--cases N] [--seed S] \
+     [--scenario all|<name>] [--canaries all|<name>[,<name>...]] \
+     [--max-entries N] [--jobs N] [--online] [--bug-extra-ns N] \
+     [--metrics-out PATH] [--report-out PATH]";
+
+/// Parses the command line; `Ok(None)` means `--help` was asked for.
+fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
     let mut campaign = CampaignConfig::default();
     let mut scenarios = ScenarioKind::all().to_vec();
     let mut canaries = Vec::new();
@@ -102,7 +95,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut bug_extra_ns = 0i64;
     let mut metrics_out = None;
     let mut report_out = None;
-    let mut monitor_shards = None;
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| -> Result<&String, String> {
@@ -151,47 +143,27 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad --bug-extra-ns: {e}"))?;
             }
-            "--monitor-shards" => {
-                let shards: usize = value("--monitor-shards")?
-                    .parse()
-                    .map_err(|e| format!("bad --monitor-shards: {e}"))?;
-                if shards == 0 {
-                    return Err("--monitor-shards must be at least 1".to_string());
-                }
-                monitor_shards = Some(shards);
-            }
             "--online" => campaign.online = true,
             "--metrics-out" => metrics_out = Some(value("--metrics-out")?.clone()),
             "--report-out" => report_out = Some(value("--report-out")?.clone()),
-            "--no-checkpoint-shrink" => campaign.checkpointed_shrink = false,
-            "--help" | "-h" => {
-                return Err("usage: psync-explorer [--cases N] [--seed S] \
-                     [--scenario all|<name>] [--canaries all|<name>[,<name>...]] \
-                     [--max-entries N] [--jobs N] [--monitor-shards N] [--online] \
-                     [--bug-extra-ns N] [--metrics-out PATH] [--report-out PATH] \
-                     [--no-checkpoint-shrink]"
-                    .to_string())
-            }
+            "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown flag {other:?} (try --help)")),
         }
     }
     if campaign.max_entries == 0 {
         return Err("--max-entries must be at least 1".to_string());
     }
-    // Checked after the loop so flag order doesn't matter. Sharded
-    // judging only exists to keep monitor lanes off the case's critical
-    // path, which only online judging has; without --online the knob
-    // would change nothing, and silently accepting it hides typos.
-    if let Some(shards) = monitor_shards {
-        if !campaign.online {
-            return Err(
-                "--monitor-shards requires --online (sharded judging only applies to                  online monitor lanes; without --online the flag would be a silent no-op)"
-                    .to_string(),
-            );
-        }
-        campaign.monitor_shards = shards;
+    // Checked after the loop so flag order doesn't matter. The
+    // demonstration bug lives in the heartbeat channel alone; accepting
+    // the flag for any other selection would silently plant nothing.
+    if bug_extra_ns != 0 && !scenarios.contains(&ScenarioKind::Heartbeat) {
+        return Err(
+            "--bug-extra-ns plants its bug in the heartbeat scenario only; \
+             the selected --scenario would ignore it"
+                .to_string(),
+        );
     }
-    Ok(Args {
+    Ok(Some(Args {
         campaign,
         scenarios,
         canaries,
@@ -199,7 +171,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         bug_extra_ns,
         metrics_out,
         report_out,
-    })
+    }))
 }
 
 fn scenario_config(kind: ScenarioKind, bug_extra_ns: i64) -> ScenarioConfig {
@@ -296,7 +268,11 @@ fn events_per_sec(total_events: u64, elapsed: std::time::Duration) -> u64 {
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match parse_args(&argv) {
-        Ok(args) => args,
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::from(2);
@@ -431,31 +407,34 @@ mod tests {
     }
 
     #[test]
-    fn monitor_shards_without_online_is_rejected() {
-        let err = parse_args(&argv(&["--monitor-shards", "4"]))
-            .expect_err("--monitor-shards alone must be rejected, not silently ignored");
-        assert!(
-            err.contains("--monitor-shards requires --online"),
-            "unhelpful error: {err}"
-        );
-        // Order must not matter: the check runs after the parse loop.
-        for order in [
-            &["--monitor-shards", "4", "--online"][..],
-            &["--online", "--monitor-shards", "4"][..],
-        ] {
-            let args = parse_args(&argv(order)).expect("--online makes the flag valid");
-            assert!(args.campaign.online);
-            assert_eq!(args.campaign.monitor_shards, 4);
+    fn help_is_a_request_not_an_error() {
+        for flag in ["--help", "-h"] {
+            let parsed = parse_args(&argv(&["--cases", "3", flag])).expect("help is not an error");
+            assert!(parsed.is_none(), "{flag} must ask main for the usage text");
         }
-        // Absent flag: campaign default, no online requirement.
-        let args = parse_args(&argv(&[])).expect("empty argv parses");
-        assert_eq!(args.campaign.monitor_shards, 1);
+        assert!(parse_args(&argv(&["--cases", "3"])).unwrap().is_some());
     }
 
     #[test]
-    fn monitor_shards_zero_is_rejected() {
-        let err = parse_args(&argv(&["--online", "--monitor-shards", "0"])).unwrap_err();
-        assert!(err.contains("at least 1"), "unhelpful error: {err}");
+    fn bug_extra_ns_without_the_heartbeat_scenario_is_rejected() {
+        // Order must not matter: the check runs after the parse loop.
+        for order in [
+            &["--scenario", "register", "--bug-extra-ns", "1"][..],
+            &["--bug-extra-ns", "1", "--scenario", "register"][..],
+        ] {
+            let err = parse_args(&argv(order))
+                .expect_err("the bug would be planted nowhere; must not be silently ignored");
+            assert!(err.contains("heartbeat scenario only"), "unhelpful: {err}");
+        }
+        // Heartbeat selected (explicitly or by the `all` default), or no
+        // bug asked for: accepted.
+        for ok in [
+            &["--bug-extra-ns", "1"][..],
+            &["--scenario", "heartbeat", "--bug-extra-ns", "1"][..],
+            &["--scenario", "register", "--bug-extra-ns", "0"][..],
+        ] {
+            assert!(parse_args(&argv(ok)).is_ok(), "{ok:?} must parse");
+        }
     }
 
     #[test]

@@ -5,12 +5,10 @@
 //! case `i` derives its seed from the campaign seed by splitmix, its plan
 //! from that case seed and the scenario's admissibility envelope, and its
 //! verdict from a full deterministic run. On failure the plan is shrunk
-//! by the cached ddmin driver in [`crate::resume`] — by default each
-//! probe resumes from a checkpoint just before its first divergence from
-//! the failing base run, rather than re-running the whole prefix — and
-//! packaged as a replay [`Artifact`]. The report is bit-identical
-//! whether or not probes resume from checkpoints; only the
-//! [`CampaignTelemetry`] cost counters differ.
+//! by the cached ddmin driver in [`crate::shrink`] — each probe is a full
+//! re-run of the case under a candidate sub-plan — and packaged as a
+//! replay [`Artifact`]. The shrink phase's cost is reported next to the
+//! report, as [`CampaignTelemetry`].
 //!
 //! # Parallel campaigns stay bit-identical
 //!
@@ -42,8 +40,8 @@ use psync_obs::MetricsSnapshot;
 use crate::artifact::{Artifact, ARTIFACT_VERSION};
 use crate::canary::CanaryKind;
 use crate::plan::{Chain, FaultEntry, FaultEnvelope, FaultPlan};
-use crate::resume::{run_shrinkable_case, CampaignTelemetry};
 use crate::scenario::ScenarioConfig;
+use crate::shrink::{run_shrinkable_case, CampaignTelemetry};
 
 /// Knobs of one exploration campaign.
 #[derive(Debug, Clone)]
@@ -54,12 +52,6 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Maximum entries per generated plan.
     pub max_entries: usize,
-    /// Resume shrink probes from base-run checkpoints (the default)
-    /// instead of re-running each probe from scratch. The report is
-    /// bit-identical either way; this knob only trades probe wall-clock
-    /// against checkpoint memory, and exists so the cross-check in CI
-    /// (and anyone debugging the resume machinery) can diff the modes.
-    pub checkpointed_shrink: bool,
     /// Judge heartbeat-family cases *online*: stream oracles ride the
     /// engine's observer hooks and the run stops the moment a violation
     /// is certain, so failing cases cost events-to-first-violation
@@ -69,12 +61,6 @@ pub struct CampaignConfig {
     /// reports are *not* comparable to offline reports — the mode is
     /// still bit-identical across `--jobs` and replays of itself.
     pub online: bool,
-    /// Judge-lane shard count for post-hoc oracle checking. A pure
-    /// performance knob threaded down to `check_all_sharded`: verdicts
-    /// and metrics are bit-identical for every value, so it lives here —
-    /// per campaign — rather than in the `(config, plan, seed)` replay
-    /// triple or (as it once did) a process-global setter.
-    pub monitor_shards: usize,
 }
 
 impl Default for CampaignConfig {
@@ -83,9 +69,7 @@ impl Default for CampaignConfig {
             cases: 64,
             seed: 0x0C1A_551C,
             max_entries: 6,
-            checkpointed_shrink: true,
             online: false,
-            monitor_shards: 1,
         }
     }
 }
@@ -189,8 +173,8 @@ pub struct CampaignReport {
     /// Coverage statistics.
     pub stats: CampaignStats,
     /// Observer metrics aggregated over the campaign's primary case runs
-    /// (shrink probes and checkpoint-recording runs are excluded, so the
-    /// totals stay a pure function of `cases` seeds).
+    /// (shrink probes are excluded, so the totals stay a pure function of
+    /// `cases` seeds).
     pub metrics: MetricsSnapshot,
     /// Shrunk, replayable failures (empty on a clean campaign).
     pub failures: Vec<Failure>,
@@ -246,19 +230,10 @@ fn run_one_case(
     let entry_points: Vec<String> = plan.entries.iter().map(FaultEntry::fault_point).collect();
     // Run the primary and, if it fails, shrink it: each probe is a
     // deterministic execution of the case under a candidate sub-plan
-    // ("fails" = any oracle violation), resumed from a pooled checkpoint
-    // unless the config says replay from scratch. Both modes produce the
-    // same outcome, shrunk plan, and report.
+    // ("fails" = any oracle violation).
     let mut telemetry = CampaignTelemetry::default();
-    let (outcome, shrunk) = run_shrinkable_case(
-        scenario,
-        &plan,
-        case_seed,
-        campaign.checkpointed_shrink,
-        campaign.online,
-        campaign.monitor_shards,
-        &mut telemetry,
-    );
+    let (outcome, shrunk) =
+        run_shrinkable_case(scenario, &plan, case_seed, campaign.online, &mut telemetry);
     let mut record = CaseRecord {
         entry_kinds,
         entry_points,
@@ -376,9 +351,8 @@ pub fn default_jobs() -> usize {
 }
 
 /// Runs one seeded campaign against one scenario on `jobs` workers,
-/// additionally returning the shrink-phase cost telemetry — the side
-/// channel the checkpoint-resume benchmark compares across probe modes.
-/// The [`CampaignReport`] half is what [`run_campaign_jobs`] returns.
+/// additionally returning the shrink-phase cost telemetry. The
+/// [`CampaignReport`] half is what [`run_campaign_jobs`] returns.
 #[must_use]
 pub fn run_campaign_with_telemetry(
     campaign: &CampaignConfig,

@@ -30,10 +30,8 @@
 //! 4. **[`explore`]** — the seeded campaign loop; every case is a pure
 //!    function of its seed.
 //! 5. **[`shrink`]** — failing plans are reduced by ddmin to a 1-minimal
-//!    counterexample; **[`resume`]** caches probe outcomes and resumes
-//!    each probe from an engine checkpoint captured just before its
-//!    first divergence from the failing base run, so a probe re-executes
-//!    only the suffix its candidate plan can actually change.
+//!    counterexample; every probe is a full re-run of the case, and a
+//!    probe cache keeps any candidate from being run twice.
 //! 6. **[`artifact`]** — failures serialize to self-contained JSON that
 //!    [`replay_artifact`] re-executes bit-identically.
 
@@ -44,7 +42,6 @@ pub mod faults;
 pub mod json;
 pub mod online;
 pub mod plan;
-pub mod resume;
 pub mod scenario;
 pub mod shrink;
 
@@ -57,11 +54,10 @@ pub use explore::{
 pub use faults::{scripted_clock_for, seq_of, BiasedScheduler, PlanChannelFault, PlanDelayPolicy};
 pub use online::{heartbeat_stream_oracles, run_case_online, run_heartbeat_online};
 pub use plan::{at_ns, ns, FaultEntry, FaultEnvelope, FaultPlan, Inadmissible};
-pub use resume::CampaignTelemetry;
 pub use scenario::{
     clockfleet_oracles, counter_oracles, fingerprint, heartbeat_oracles, mutex_oracles,
-    register_oracles, run_case, run_case_sharded, run_clockfleet, run_counter, run_heartbeat,
-    run_heartbeat_restart, run_mutex, run_register, run_sync, sync_oracles, CaseOutcome,
-    HeartbeatRelay, Judged, ScenarioConfig, ScenarioKind,
+    register_oracles, run_case, run_clockfleet, run_counter, run_heartbeat, run_heartbeat_restart,
+    run_mutex, run_register, run_sync, sync_oracles, CaseOutcome, HeartbeatRelay, Judged,
+    ScenarioConfig, ScenarioKind,
 };
-pub use shrink::shrink_entries;
+pub use shrink::{shrink_entries, CampaignTelemetry};

@@ -658,24 +658,16 @@ const CASE_MAX_EVENTS: usize = 250_000;
 /// [`finish_case`] folds into the case's hub.
 pub(crate) type JudgeVerdicts = (Vec<(String, String)>, MetricsSnapshot);
 
-/// Judges a finished run against an oracle set on `shards` worker
-/// threads. The shard count is threaded down from
-/// [`CampaignConfig::monitor_shards`](crate::CampaignConfig) — there is
-/// deliberately no process-global setter (a global breaks concurrent
-/// library users; two campaigns in one process must be able to judge at
-/// different widths). It is a pure performance knob: the sharded judge's
-/// verdicts *and* metrics are bit-identical for every value (see
-/// [`check_all_sharded`]), which is why it may live outside the
-/// `(config, plan, seed)` triple without breaking replay identity. An
-/// engine error short-circuits to a single `engine` violation with empty
-/// metrics.
-fn judge_sharded<A: Action + Send + Sync>(
+/// Judges a finished run against an oracle set, sequentially on the
+/// calling thread (campaign parallelism is across cases, not oracles).
+/// An engine error short-circuits to a single `engine` violation with
+/// empty metrics.
+fn judge<A: Action + Send + Sync>(
     oracles: &[Box<dyn Oracle<A>>],
     run: &Result<Run<A>, String>,
-    shards: usize,
 ) -> JudgeVerdicts {
     match run {
-        Ok(run) => check_all_sharded(oracles, &run.execution, shards.max(1)),
+        Ok(run) => check_all_sharded(oracles, &run.execution, 1),
         Err(e) => (
             vec![("engine".into(), e.clone())],
             MetricsSnapshot::default(),
@@ -710,10 +702,10 @@ fn merge_fault_stats(hub: &MetricsHub, stats: &FaultStats) {
 }
 
 /// A case's engine plus the observation handles the post-run accounting
-/// needs — the common shape the plain runners and the checkpoint-resuming
-/// shrink driver (`resume` module) share. The engine observers are
-/// attached with checkpoint counters suppressed, so a checkpointed run's
-/// metrics are bit-identical to a straight run's.
+/// needs — the common shape the post-hoc runners and the online driver
+/// share. The engine observers are attached with checkpoint counters
+/// suppressed, so the restart scenario's checkpointed run has metrics
+/// bit-identical to a straight run's.
 pub(crate) struct BuiltCase<A: Action> {
     pub(crate) engine: Engine<A>,
     pub(crate) hub: MetricsHub,
@@ -971,11 +963,7 @@ fn relay_component(cfg: &ScenarioConfig, me: u32, to: u32) -> HeartbeatRelay {
 }
 
 /// Builds a heartbeat-family case's engine (without running it).
-pub(crate) fn build_heartbeat(
-    cfg: &ScenarioConfig,
-    plan: &FaultPlan,
-    seed: u64,
-) -> BuiltCase<FdAction> {
+fn build_heartbeat(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64) -> BuiltCase<FdAction> {
     build_heartbeat_with(cfg, plan, seed, None)
 }
 
@@ -1067,16 +1055,6 @@ pub(crate) fn build_heartbeat_with(
     }
 }
 
-/// Judges a heartbeat run against the scenario's oracles.
-pub(crate) fn judge_heartbeat(
-    cfg: &ScenarioConfig,
-    plan: &FaultPlan,
-    run: &Result<Run<FdAction>, String>,
-    shards: usize,
-) -> JudgeVerdicts {
-    judge_sharded(&heartbeat_oracles(cfg, plan), run, shards)
-}
-
 /// Runs one heartbeat-family case: returns the raw engine run and the
 /// oracle verdicts. Public (rather than folded into [`run_case`]) so
 /// tests can compare whole [`Execution`]s across replays.
@@ -1086,20 +1064,11 @@ pub(crate) fn judge_heartbeat(
 /// Panics if the config is not a heartbeat-family config (the restart
 /// variant has its own runner, [`run_heartbeat_restart`]).
 pub fn run_heartbeat(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64) -> Judged<FdAction> {
-    run_heartbeat_with(cfg, plan, seed, 1)
-}
-
-pub(crate) fn run_heartbeat_with(
-    cfg: &ScenarioConfig,
-    plan: &FaultPlan,
-    seed: u64,
-    shards: usize,
-) -> Judged<FdAction> {
     assert!(cfg.kind.is_heartbeat() && cfg.kind != ScenarioKind::HeartbeatRestart);
     let mut built = build_heartbeat(cfg, plan, seed);
     let run = built.engine.run().map_err(|e| e.to_string());
-    let violations = judge_heartbeat(cfg, plan, &run, shards);
-    finish_case(&built, violations, run)
+    let verdicts = judge(&heartbeat_oracles(cfg, plan), &run);
+    finish_case(&built, verdicts, run)
 }
 
 /// Runs one crash-recovery case: drives the engine to the restart seam,
@@ -1119,15 +1088,6 @@ pub fn run_heartbeat_restart(
     cfg: &ScenarioConfig,
     plan: &FaultPlan,
     seed: u64,
-) -> Judged<FdAction> {
-    run_heartbeat_restart_with(cfg, plan, seed, 1)
-}
-
-pub(crate) fn run_heartbeat_restart_with(
-    cfg: &ScenarioConfig,
-    plan: &FaultPlan,
-    seed: u64,
-    shards: usize,
 ) -> Judged<FdAction> {
     assert_eq!(cfg.kind, ScenarioKind::HeartbeatRestart);
     let seam = cfg
@@ -1158,14 +1118,14 @@ pub(crate) fn run_heartbeat_restart_with(
                 .engine
                 .run_until(at_ns(cfg.horizon_ns))
                 .map_err(|e| e.to_string());
-            let violations = judge_heartbeat(cfg, plan, &run, shards);
-            finish_case(&second, violations, run)
+            let verdicts = judge(&heartbeat_oracles(cfg, plan), &run);
+            finish_case(&second, verdicts, run)
         }
         run => {
             // Stopped before the seam (quiescent or capped): nothing to
             // restart; judge what was recorded.
-            let violations = judge_heartbeat(cfg, plan, &run, shards);
-            finish_case(&first, violations, run)
+            let verdicts = judge(&heartbeat_oracles(cfg, plan), &run);
+            finish_case(&first, verdicts, run)
         }
     }
 }
@@ -1361,31 +1321,18 @@ fn fleet_period(cfg: &ScenarioConfig, node: u32) -> Duration {
 ///
 /// Panics if the config is not a clockfleet-family config.
 pub fn run_clockfleet(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64) -> Judged<BeepAction> {
-    run_clockfleet_with(cfg, plan, seed, 1)
-}
-
-pub(crate) fn run_clockfleet_with(
-    cfg: &ScenarioConfig,
-    plan: &FaultPlan,
-    seed: u64,
-    shards: usize,
-) -> Judged<BeepAction> {
     assert!(matches!(
         cfg.kind,
         ScenarioKind::ClockFleet | ScenarioKind::ClockFleetLarge
     ));
     let mut built = build_clockfleet(cfg, plan, seed);
     let run = built.engine.run().map_err(|e| e.to_string());
-    let violations = judge_clockfleet(cfg, &run, shards);
-    finish_case(&built, violations, run)
+    let verdicts = judge(&clockfleet_oracles(cfg), &run);
+    finish_case(&built, verdicts, run)
 }
 
 /// Builds the clock-fleet case's engine (without running it).
-pub(crate) fn build_clockfleet(
-    cfg: &ScenarioConfig,
-    plan: &FaultPlan,
-    seed: u64,
-) -> BuiltCase<BeepAction> {
+fn build_clockfleet(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64) -> BuiltCase<BeepAction> {
     let eps = ns(cfg.eps_ns);
     let hub = MetricsHub::new();
     let mut builder = Engine::builder();
@@ -1430,15 +1377,6 @@ pub(crate) fn build_clockfleet(
         fault_stats: Vec::new(),
         rejections: handles,
     }
-}
-
-/// Judges a clock-fleet run against the scenario's oracles.
-pub(crate) fn judge_clockfleet(
-    cfg: &ScenarioConfig,
-    run: &Result<Run<BeepAction>, String>,
-    shards: usize,
-) -> JudgeVerdicts {
-    judge_sharded(&clockfleet_oracles(cfg), run, shards)
 }
 
 /// The clock-fleet scenario's oracle set.
@@ -1530,33 +1468,20 @@ fn mutex_guard(cfg: &ScenarioConfig) -> Duration {
 ///
 /// Panics if the config is not a mutex-family config.
 pub fn run_mutex(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64) -> Judged<MutexAction> {
-    run_mutex_with(cfg, plan, seed, 1)
-}
-
-pub(crate) fn run_mutex_with(
-    cfg: &ScenarioConfig,
-    plan: &FaultPlan,
-    seed: u64,
-    shards: usize,
-) -> Judged<MutexAction> {
     assert!(matches!(
         cfg.kind,
         ScenarioKind::Mutex | ScenarioKind::MutexContended
     ));
     let mut built = build_mutex(cfg, plan, seed);
     let run = built.engine.run().map_err(|e| e.to_string());
-    let violations = judge_mutex(cfg, &run, shards);
-    finish_case(&built, violations, run)
+    let verdicts = judge(&mutex_oracles(cfg), &run);
+    finish_case(&built, verdicts, run)
 }
 
 /// Builds the mutual-exclusion case's engine (without running it): `n`
 /// clock nodes, each running `C(SlotUser, ε)` against a plan-scripted
 /// clock.
-pub(crate) fn build_mutex(
-    cfg: &ScenarioConfig,
-    plan: &FaultPlan,
-    seed: u64,
-) -> BuiltCase<MutexAction> {
+fn build_mutex(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64) -> BuiltCase<MutexAction> {
     let eps = ns(cfg.eps_ns);
     let slot = ns(cfg.period_ns);
     let guard = mutex_guard(cfg);
@@ -1590,15 +1515,6 @@ pub(crate) fn build_mutex(
         fault_stats: Vec::new(),
         rejections: handles,
     }
-}
-
-/// Judges a mutex run against the scenario's oracles.
-pub(crate) fn judge_mutex(
-    cfg: &ScenarioConfig,
-    run: &Result<Run<MutexAction>, String>,
-    shards: usize,
-) -> JudgeVerdicts {
-    judge_sharded(&mutex_oracles(cfg), run, shards)
 }
 
 /// Interval-based mutual exclusion over real time: occupancies of
@@ -1711,30 +1627,35 @@ pub fn mutex_oracles(cfg: &ScenarioConfig) -> Vec<Box<dyn Oracle<MutexAction>>> 
     oracles
 }
 
-/// Runs one register (`D_C`) case. Returns the run, oracle verdicts, and
-/// clamped clock-request count.
+/// The closed-loop liveness verdict of a register or counter run: the
+/// workload must drain (the engine go quiescent) before the horizon.
+fn liveness_violation(stop: StopReason) -> Option<(String, String)> {
+    (stop != StopReason::Quiescent).then(|| {
+        (
+            "liveness".to_string(),
+            format!("workload did not finish by the horizon ({stop:?})"),
+        )
+    })
+}
+
+/// Runs one register (`D_C`) case, judged by liveness plus the oracle
+/// set. Returns the run, verdicts, and clamped clock-request count.
 ///
 /// # Panics
 ///
 /// Panics if the config is not a register-family config.
 pub fn run_register(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64) -> Judged<RegAction> {
-    run_register_with(cfg, plan, seed, 1)
-}
-
-pub(crate) fn run_register_with(
-    cfg: &ScenarioConfig,
-    plan: &FaultPlan,
-    seed: u64,
-    shards: usize,
-) -> Judged<RegAction> {
     assert!(matches!(
         cfg.kind,
         ScenarioKind::Register | ScenarioKind::RegisterTriple
     ));
     let mut built = build_register(cfg, plan, seed);
     let run = built.engine.run().map_err(|e| e.to_string());
-    let violations = judge_register(cfg, seed, &run, shards);
-    finish_case(&built, violations, run)
+    let (mut violations, metrics) = judge(&register_oracles(cfg, seed), &run);
+    if let Some(v) = run.as_ref().ok().and_then(|r| liveness_violation(r.stop)) {
+        violations.insert(0, v);
+    }
+    finish_case(&built, (violations, metrics), run)
 }
 
 /// The register/counter parameter set, with the sign-flip canary hook:
@@ -1790,11 +1711,7 @@ fn dc_strategies(
 }
 
 /// Builds the register (`D_C`) case's engine (without running it).
-pub(crate) fn build_register(
-    cfg: &ScenarioConfig,
-    plan: &FaultPlan,
-    seed: u64,
-) -> BuiltCase<RegAction> {
+fn build_register(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64) -> BuiltCase<RegAction> {
     let hub = MetricsHub::new();
     let topo = Topology::complete(cfg.nodes as usize);
     let physical = cfg.bounds();
@@ -1822,31 +1739,6 @@ pub(crate) fn build_register(
         hub,
         fault_stats: Vec::new(),
         rejections: handles,
-    }
-}
-
-/// Judges a register run: liveness (the closed loop must drain before the
-/// horizon) plus the oracle set.
-pub(crate) fn judge_register(
-    cfg: &ScenarioConfig,
-    seed: u64,
-    run: &Result<Run<RegAction>, String>,
-    shards: usize,
-) -> JudgeVerdicts {
-    let (oracle_violations, metrics) = judge_sharded(&register_oracles(cfg, seed), run, shards);
-    match run {
-        Ok(run) => {
-            let mut violations = Vec::new();
-            if run.stop != StopReason::Quiescent {
-                violations.push((
-                    "liveness".to_string(),
-                    format!("workload did not finish by the horizon ({:?})", run.stop),
-                ));
-            }
-            violations.extend(oracle_violations);
-            (violations, metrics)
-        }
-        Err(_) => (oracle_violations, metrics),
     }
 }
 
@@ -1886,7 +1778,8 @@ fn counter_update(node: NodeId, _op: u32) -> i64 {
     10i64.pow(node.0 as u32)
 }
 
-/// Runs one generalized-object counter case.
+/// Runs one generalized-object counter case, judged by liveness plus the
+/// oracle set.
 ///
 /// # Panics
 ///
@@ -1896,25 +1789,19 @@ pub fn run_counter(
     plan: &FaultPlan,
     seed: u64,
 ) -> Judged<ObjAction<Counter>> {
-    run_counter_with(cfg, plan, seed, 1)
-}
-
-pub(crate) fn run_counter_with(
-    cfg: &ScenarioConfig,
-    plan: &FaultPlan,
-    seed: u64,
-    shards: usize,
-) -> Judged<ObjAction<Counter>> {
     assert_eq!(cfg.kind, ScenarioKind::Counter);
     let mut built = build_counter(cfg, plan, seed);
     let run = built.engine.run().map_err(|e| e.to_string());
-    let violations = judge_counter(cfg, seed, &run, shards);
-    finish_case(&built, violations, run)
+    let (mut violations, metrics) = judge(&counter_oracles(cfg, seed), &run);
+    if let Some(v) = run.as_ref().ok().and_then(|r| liveness_violation(r.stop)) {
+        violations.insert(0, v);
+    }
+    finish_case(&built, (violations, metrics), run)
 }
 
 /// Builds the counter (`AlgorithmSObj<Counter>` in `D_C`) case's engine
 /// (without running it).
-pub(crate) fn build_counter(
+fn build_counter(
     cfg: &ScenarioConfig,
     plan: &FaultPlan,
     seed: u64,
@@ -1952,30 +1839,6 @@ pub(crate) fn build_counter(
         hub,
         fault_stats: Vec::new(),
         rejections: handles,
-    }
-}
-
-/// Judges a counter run: liveness plus the oracle set.
-pub(crate) fn judge_counter(
-    cfg: &ScenarioConfig,
-    seed: u64,
-    run: &Result<Run<ObjAction<Counter>>, String>,
-    shards: usize,
-) -> JudgeVerdicts {
-    let (oracle_violations, metrics) = judge_sharded(&counter_oracles(cfg, seed), run, shards);
-    match run {
-        Ok(run) => {
-            let mut violations = Vec::new();
-            if run.stop != StopReason::Quiescent {
-                violations.push((
-                    "liveness".to_string(),
-                    format!("workload did not finish by the horizon ({:?})", run.stop),
-                ));
-            }
-            violations.extend(oracle_violations);
-            (violations, metrics)
-        }
-        Err(_) => (oracle_violations, metrics),
     }
 }
 
@@ -2048,11 +1911,7 @@ fn sync_params(cfg: &ScenarioConfig, i: u32) -> SyncParams {
 /// clock nodes running [`ProbeSync`] (or [`RoundSync`] for the
 /// fault-resistant variant), wired over per-edge [`FaultChannel`]s that
 /// the plan may drop, duplicate, or spike inside `[d₁, d₂]`.
-pub(crate) fn build_sync(
-    cfg: &ScenarioConfig,
-    plan: &FaultPlan,
-    seed: u64,
-) -> BuiltCase<SyncAction> {
+fn build_sync(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64) -> BuiltCase<SyncAction> {
     let eps = ns(cfg.eps_ns);
     let declared = cfg.bounds();
     let actual = DelayBounds::new(declared.min(), declared.max() + ns(cfg.bug_extra_ns))
@@ -2099,15 +1958,6 @@ pub(crate) fn build_sync(
         fault_stats,
         rejections: Vec::new(),
     }
-}
-
-/// Judges a sync run against the scenario's oracles.
-pub(crate) fn judge_sync(
-    cfg: &ScenarioConfig,
-    run: &Result<Run<SyncAction>, String>,
-    shards: usize,
-) -> JudgeVerdicts {
-    judge_sharded(&sync_oracles(cfg), run, shards)
 }
 
 /// The sync scenario's oracle set: the ε̂-parameterized `C_ε`
@@ -2158,15 +2008,6 @@ pub fn sync_oracles(cfg: &ScenarioConfig) -> Vec<Box<dyn Oracle<SyncAction>>> {
 ///
 /// Panics if the config is not a sync-family config.
 pub fn run_sync(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64) -> Judged<SyncAction> {
-    run_sync_with(cfg, plan, seed, 1)
-}
-
-pub(crate) fn run_sync_with(
-    cfg: &ScenarioConfig,
-    plan: &FaultPlan,
-    seed: u64,
-    shards: usize,
-) -> Judged<SyncAction> {
     assert!(cfg.kind.is_sync());
     let mut built = build_sync(cfg, plan, seed);
     let run = built.engine.run().map_err(|e| e.to_string());
@@ -2181,8 +2022,8 @@ pub(crate) fn run_sync_with(
             }
         }
     }
-    let violations = judge_sync(cfg, &run, shards);
-    finish_case(&built, violations, run)
+    let verdicts = judge(&sync_oracles(cfg), &run);
+    finish_case(&built, verdicts, run)
 }
 
 /// Collapses a typed [`Judged`] result into the kind-erased
@@ -2201,51 +2042,30 @@ pub(crate) fn outcome_of<A: Action>(judged: Judged<A>) -> CaseOutcome {
     }
 }
 
-/// Runs one case of any scenario kind and judges it sequentially — the
-/// generic entry point `replay_artifact` and one-off callers share.
-/// Equivalent to [`run_case_sharded`] with one shard (every outcome is
-/// shard-count invariant, so replays need not know the campaign's
-/// monitor width).
+/// Runs one case of any scenario kind and judges it post-hoc — the
+/// generic entry point campaigns, `replay_artifact` and one-off callers
+/// share.
 #[must_use]
 pub fn run_case(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64) -> CaseOutcome {
-    run_case_sharded(cfg, plan, seed, 1)
-}
-
-/// Runs one case of any scenario kind and judges it on `monitor_shards`
-/// judge threads. The shard count is a pure performance knob threaded
-/// down from [`CampaignConfig::monitor_shards`](crate::CampaignConfig);
-/// the outcome is bit-identical for every value.
-#[must_use]
-pub fn run_case_sharded(
-    cfg: &ScenarioConfig,
-    plan: &FaultPlan,
-    seed: u64,
-    monitor_shards: usize,
-) -> CaseOutcome {
-    let shards = monitor_shards.max(1);
     match cfg.kind {
-        ScenarioKind::HeartbeatRestart => {
-            outcome_of(run_heartbeat_restart_with(cfg, plan, seed, shards))
-        }
+        ScenarioKind::HeartbeatRestart => outcome_of(run_heartbeat_restart(cfg, plan, seed)),
         ScenarioKind::Heartbeat
         | ScenarioKind::HeartbeatCrash
         | ScenarioKind::HeartbeatGray
         | ScenarioKind::HeartbeatBidi
         | ScenarioKind::Relay
-        | ScenarioKind::Partition => outcome_of(run_heartbeat_with(cfg, plan, seed, shards)),
+        | ScenarioKind::Partition => outcome_of(run_heartbeat(cfg, plan, seed)),
         ScenarioKind::ClockFleet | ScenarioKind::ClockFleetLarge => {
-            outcome_of(run_clockfleet_with(cfg, plan, seed, shards))
+            outcome_of(run_clockfleet(cfg, plan, seed))
         }
         ScenarioKind::Mutex | ScenarioKind::MutexContended => {
-            outcome_of(run_mutex_with(cfg, plan, seed, shards))
+            outcome_of(run_mutex(cfg, plan, seed))
         }
         ScenarioKind::Register | ScenarioKind::RegisterTriple => {
-            outcome_of(run_register_with(cfg, plan, seed, shards))
+            outcome_of(run_register(cfg, plan, seed))
         }
-        ScenarioKind::Counter => outcome_of(run_counter_with(cfg, plan, seed, shards)),
-        ScenarioKind::SyncProbe | ScenarioKind::SyncRounds => {
-            outcome_of(run_sync_with(cfg, plan, seed, shards))
-        }
+        ScenarioKind::Counter => outcome_of(run_counter(cfg, plan, seed)),
+        ScenarioKind::SyncProbe | ScenarioKind::SyncRounds => outcome_of(run_sync(cfg, plan, seed)),
     }
 }
 

@@ -2,8 +2,9 @@
 //! boundary values, backward-jump rejection, and artifact round-trips.
 
 use psync_explorer::{
-    replay_artifact, run_campaign, run_case, run_heartbeat, Artifact, CampaignConfig, FaultEntry,
-    FaultPlan, Inadmissible, ScenarioConfig, ARTIFACT_VERSION,
+    replay_artifact, run_campaign, run_campaign_with_telemetry, run_case, run_heartbeat, Artifact,
+    CampaignConfig, CampaignTelemetry, FaultEntry, FaultPlan, Inadmissible, ScenarioConfig,
+    ScenarioKind, ARTIFACT_VERSION,
 };
 
 /// The acceptance scenario: a channel bug that delivers a boundary delay
@@ -111,6 +112,37 @@ fn clean_campaigns_find_no_violations() {
                 .collect::<Vec<_>>()
         );
         assert!(report.stats.entries > 0, "campaign generated no faults");
+    }
+}
+
+/// `shrink_probes` counts true case executions: the cached driver never
+/// re-probes a plan it has already evaluated (ddmin revisits its seeded
+/// plan and adopted bases; those answers are tallied as cache hits), and
+/// no checkpoint is ever taken for shrinking. A clean campaign of any
+/// kind never shrinks, so it spends nothing at all.
+#[test]
+fn shrink_probe_counts_are_true_executions() {
+    let campaign = CampaignConfig {
+        cases: 24,
+        ..CampaignConfig::default()
+    };
+    let scenario = ScenarioConfig::heartbeat_default().with_bug(1);
+    let (report, cost) = run_campaign_with_telemetry(&campaign, &scenario, 1);
+    assert!(!report.failures.is_empty(), "planted bug was not found");
+    assert!(report.stats.shrink_probes > 0);
+    assert!(cost.shrink_events > 0);
+    assert!(cost.cache_hits > 0);
+    assert_eq!((cost.recording_runs, cost.checkpoints), (0, 0));
+
+    let clean = CampaignConfig {
+        cases: 6,
+        ..CampaignConfig::default()
+    };
+    for kind in ScenarioKind::all() {
+        let (report, cost) =
+            run_campaign_with_telemetry(&clean, &ScenarioConfig::default_for(kind), 1);
+        assert!(report.failures.is_empty(), "[{kind:?}] unexpected failures");
+        assert_eq!(cost, CampaignTelemetry::default(), "[{kind:?}] shrink cost");
     }
 }
 

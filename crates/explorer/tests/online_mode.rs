@@ -1,47 +1,11 @@
-//! Integration pins for the sharded/online monitoring layer:
+//! Integration pins for online campaigns:
 //!
-//! - the monitor-lane shard count is a pure performance knob — every
-//!   case outcome (verdicts, fingerprint, metrics) is bit-identical for
-//!   every shard count, which is what justifies it living outside the
-//!   `(config, plan, seed)` replay triple;
-//! - online campaigns are deterministic and worker-count invariant,
-//!   exactly like offline ones;
-//! - online campaigns still catch planted bugs, blaming the same
-//!   streamable oracle the offline judge blames.
-//!
-//! The shard count is plain data threaded through `CampaignConfig` /
-//! `run_case_sharded` — there is no process-global knob, so these tests
-//! can interleave freely with other suites.
+//! - they are deterministic and worker-count invariant, exactly like
+//!   offline ones;
+//! - they still catch planted bugs, blaming the same streamable oracle
+//!   the offline judge blames.
 
-use psync_explorer::{
-    run_campaign_jobs, run_case, run_case_sharded, CampaignConfig, CanaryKind, FaultPlan,
-    ScenarioConfig, ScenarioKind,
-};
-
-#[test]
-fn case_outcomes_are_monitor_shard_invariant() {
-    // One scenario per judge shape: plain heartbeat (clean), a planted
-    // envelope bug (violating), the relay (more oracles than shards
-    // divides evenly), and a clock-model scenario.
-    let cases = [
-        ScenarioConfig::heartbeat_default(),
-        ScenarioConfig::heartbeat_default().with_bug(40),
-        ScenarioConfig::default_for(ScenarioKind::Relay),
-        ScenarioConfig::default_for(ScenarioKind::ClockFleet),
-    ];
-    let plan = FaultPlan::default();
-    for cfg in &cases {
-        let sequential = run_case(cfg, &plan, 9);
-        for shards in [2, 4, 7] {
-            let sharded = run_case_sharded(cfg, &plan, 9, shards);
-            assert_eq!(
-                sequential, sharded,
-                "outcome diverged at {shards} shards for {:?}",
-                cfg.kind
-            );
-        }
-    }
-}
+use psync_explorer::{run_campaign_jobs, CampaignConfig, CanaryKind, ScenarioConfig, ScenarioKind};
 
 #[test]
 fn online_campaigns_are_deterministic_and_jobs_invariant() {

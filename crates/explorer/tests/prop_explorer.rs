@@ -165,7 +165,7 @@ proptest! {
     /// The full shrinker contract in one pass: still-failing, subset,
     /// 1-minimal, idempotent — or empty if the input never failed.
     #[test]
-    fn shrinker_contract(seed in 0u64..1_000_000, kind_ix in 0usize..14, k in 2u64..6, m in 1u64..4) {
+    fn shrinker_contract(seed in 0u64..1_000_000, kind_ix in 0usize..ScenarioKind::all().len(), k in 2u64..6, m in 1u64..4) {
         let plan = gen_plan(seed, kind_ix);
         let mut fails = |p: &FaultPlan| bad(p, k) >= m;
         let shrunk = shrink_entries(&plan, &mut fails);
@@ -204,7 +204,7 @@ proptest! {
     /// Plans that pass shrink to empty even when probing is expensive —
     /// the shrinker must not run ddmin at all on a passing plan.
     #[test]
-    fn passing_plans_shrink_to_empty_in_one_probe(seed in 0u64..1_000_000, kind_ix in 0usize..14) {
+    fn passing_plans_shrink_to_empty_in_one_probe(seed in 0u64..1_000_000, kind_ix in 0usize..ScenarioKind::all().len()) {
         let plan = gen_plan(seed, kind_ix);
         let mut probes = 0u64;
         let mut fails = |_: &FaultPlan| {
@@ -220,7 +220,7 @@ proptest! {
     /// generated for, whatever the scenario (the explorer never runs an
     /// illegal adversary).
     #[test]
-    fn generated_plans_are_admissible(seed in 0u64..1_000_000, kind_ix in 0usize..14) {
+    fn generated_plans_are_admissible(seed in 0u64..1_000_000, kind_ix in 0usize..ScenarioKind::all().len()) {
         let kinds = ScenarioKind::all();
         let env = ScenarioConfig::default_for(kinds[kind_ix % kinds.len()]).envelope();
         let plan = FaultPlan::generate(seed, &env, 8);

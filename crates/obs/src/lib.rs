@@ -18,8 +18,7 @@
 //!   compressed into buckets, every verdict carrying a quantified `±err`
 //!   interval.
 //! - [`shard`] — deterministic parallel judging: [`check_all_sharded`]
-//!   fans a slice of oracles across a scoped thread pool and
-//!   [`ShardedEps`] splits one `=_{ε,κ}` check by lane, both merging
+//!   fans a slice of oracles across a scoped thread pool, merging
 //!   results in a fixed order so verdicts and metrics are bit-identical
 //!   to the sequential path.
 //! - [`online`] — [`OnlineJudge`], an [`psync_executor::Observer`] that
@@ -52,4 +51,4 @@ pub use observe::{
     DELAY_NS_BOUNDS, DRIFT_NS_BOUNDS, QUEUE_DEPTH_BOUNDS,
 };
 pub use online::OnlineJudge;
-pub use shard::{check_all_sharded, monitor_snapshot, ShardedEps};
+pub use shard::{check_all_sharded, monitor_snapshot};

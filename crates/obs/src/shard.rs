@@ -1,34 +1,22 @@
 //! Deterministic sharded judging: parallelism that never shows in the
 //! verdicts.
 //!
-//! Two granularities, both with a fixed merge order so output is
-//! bit-identical for every shard count:
-//!
-//! - [`check_all_sharded`] — the oracle-level fan-out used by explorer
-//!   campaigns: worker threads claim oracles from an atomic counter,
-//!   verdicts land in per-oracle slots and are merged *in oracle order*;
-//!   each shard counts its own work into a private [`Registry`] and the
-//!   per-shard snapshots are absorbed in shard-index order. The counters
-//!   (`monitor.checks`, `monitor.violations`) are totals over oracles, so
-//!   they are invariant under the shard count too.
-//! - [`ShardedEps`] — lane-level sharding of one `=_{ε,κ}` check: the
-//!   forced matching decomposes into independent cursor lanes (one per
-//!   class, one per distinct unclassified action value), so lanes can be
-//!   consumed on separate threads. Errors are merged by the earliest
-//!   observed index (observe-phase) or the smallest lane ordinal
-//!   (finish-phase) — exactly the first error the sequential
-//!   [`StreamingEps`] would report.
+//! [`check_all_sharded`] fans an oracle set out over worker threads with
+//! a fixed merge order, so output is bit-identical for every shard
+//! count: workers claim oracles from an atomic counter, verdicts land in
+//! per-oracle slots and are merged *in oracle order*; each shard counts
+//! its own work into a private [`Registry`] and the per-shard snapshots
+//! are absorbed in shard-index order. The counters (`monitor.checks`,
+//! `monitor.violations`) are totals over oracles, so they are invariant
+//! under the shard count too.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use psync_automata::relations::{ClassMap, RelationError, Witness};
-use psync_automata::{Action, Execution, TimedTrace, Verdict};
-use psync_time::Duration;
+use psync_automata::{Action, Execution, Verdict};
 use psync_verify::Oracle;
 
 use crate::metrics::{MetricsSnapshot, Registry};
-use crate::monitor::StreamingEps;
 
 /// The deterministic judging snapshot every judging path reports:
 /// `monitor.checks` oracles checked, `monitor.violations` of them
@@ -117,383 +105,17 @@ pub fn check_all_sharded<A: Action + Send + Sync>(
     (violations, metrics)
 }
 
-/// Which lane an observed event belongs to, as a dense ordinal matching
-/// the sequential monitor's finish order: class lanes ascending by class
-/// index first, then unclassified-value lanes in reference insertion
-/// order.
-#[derive(Debug)]
-struct LaneTable<A> {
-    /// Ascending class indices present in the reference.
-    classes: Vec<usize>,
-    /// Distinct unclassified action values, reference insertion order.
-    rest: Vec<A>,
-    /// Reference indices per lane ordinal.
-    indices: Vec<Vec<usize>>,
-}
-
-impl<A: Action> LaneTable<A> {
-    fn build(reference: &TimedTrace<A>, classes: &ClassMap<A>) -> LaneTable<A> {
-        let mut class_ids: Vec<usize> = Vec::new();
-        let mut rest: Vec<A> = Vec::new();
-        for (a, _) in reference.iter() {
-            match classes.class_of(a) {
-                Some(c) => {
-                    if !class_ids.contains(&c) {
-                        class_ids.push(c);
-                    }
-                }
-                None => {
-                    if !rest.contains(a) {
-                        rest.push(a.clone());
-                    }
-                }
-            }
-        }
-        class_ids.sort_unstable();
-        let mut indices = vec![Vec::new(); class_ids.len() + rest.len()];
-        let mut table = LaneTable {
-            classes: class_ids,
-            rest,
-            indices: Vec::new(),
-        };
-        for (i, (a, _)) in reference.iter().enumerate() {
-            let lane = table
-                .lane_of(a, classes)
-                .expect("reference action always has a lane");
-            indices[lane].push(i);
-        }
-        table.indices = indices;
-        table
-    }
-
-    /// The lane ordinal of `a`, or `None` when the reference has no lane
-    /// for it (the sequential monitor's lane-miss error).
-    fn lane_of(&self, a: &A, classes: &ClassMap<A>) -> Option<usize> {
-        match classes.class_of(a) {
-            Some(c) => self.classes.binary_search(&c).ok(),
-            None => self
-                .rest
-                .iter()
-                .position(|v| v == a)
-                .map(|p| self.classes.len() + p),
-        }
-    }
-
-    fn class_of_lane(&self, lane: usize) -> Option<usize> {
-        self.classes.get(lane).copied()
-    }
-}
-
-/// A lane-sharded `reference =_{ε,κ} observed` check, verdict-identical
-/// to [`StreamingEps`] fed the same trace.
-///
-/// The forced matching never couples two lanes, so `check` classifies the
-/// observed trace once (recording any lane-miss error with its index) and
-/// then consumes the lanes on `shards` scoped threads, lane `l` on thread
-/// `l % shards`. Each shard reports its first error with the *global*
-/// observed index at which it struck; the merged verdict is the error at
-/// the minimum index — precisely the sequential monitor's sticky first
-/// error, because lane state at any index depends only on earlier events
-/// of the same lane.
-#[derive(Debug)]
-pub struct ShardedEps<'a, A: Action> {
-    reference: &'a TimedTrace<A>,
-    classes: &'a ClassMap<A>,
-    eps: Duration,
-    shards: usize,
-}
-
-/// One shard's outcome: first error (by global observed index or, for
-/// finish-phase leftovers, lane ordinal offset past the stream), plus the
-/// shard's witness contribution.
-struct ShardOutcome<A> {
-    error: Option<(usize, RelationError<A>)>,
-    max_dev: Duration,
-    matched: usize,
-}
-
-impl<'a, A: Action + Send + Sync> ShardedEps<'a, A> {
-    /// Creates a sharded checker for `reference =_{ε,κ} ⟨observed⟩`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `eps` is negative or `shards` is zero.
-    #[must_use]
-    pub fn new(
-        reference: &'a TimedTrace<A>,
-        eps: Duration,
-        classes: &'a ClassMap<A>,
-        shards: usize,
-    ) -> Self {
-        assert!(!eps.is_negative(), "ε must be non-negative");
-        assert!(shards > 0, "at least one shard");
-        ShardedEps {
-            reference,
-            classes,
-            eps,
-            shards,
-        }
-    }
-
-    /// Judges the observed trace; the result equals feeding it event by
-    /// event to [`StreamingEps`] and calling `finish`.
-    ///
-    /// # Errors
-    ///
-    /// The same first [`RelationError`] the sequential monitor reports.
-    pub fn check(&self, observed: &TimedTrace<A>) -> Result<Witness, RelationError<A>> {
-        if self.shards == 1 {
-            let mut m = StreamingEps::new(self.reference, self.eps, self.classes);
-            for (a, time) in observed.iter() {
-                m.observe(a, time);
-            }
-            return m.finish();
-        }
-        let table = LaneTable::build(self.reference, self.classes);
-        // Classify the observed stream once; a lane miss is an
-        // observe-phase error candidate at its index.
-        let mut lanes: Vec<usize> = Vec::with_capacity(observed.len());
-        let mut miss: Option<(usize, RelationError<A>)> = None;
-        for (position, (a, _)) in observed.iter().enumerate() {
-            match table.lane_of(a, self.classes) {
-                Some(lane) => lanes.push(lane),
-                None => {
-                    miss = Some((
-                        position,
-                        match self.classes.class_of(a) {
-                            Some(c) => RelationError::CardinalityMismatch {
-                                class: Some(c),
-                                left: 0,
-                                right: 1,
-                            },
-                            None => RelationError::ActionMismatch {
-                                class: None,
-                                position,
-                                left: a.clone(),
-                                right: a.clone(),
-                            },
-                        },
-                    ));
-                    break;
-                }
-            }
-        }
-        let fed = lanes.len(); // events before any lane miss
-        let shards = self.shards.min(table.indices.len().max(1));
-        let outcomes: Vec<ShardOutcome<A>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(shards);
-            for s in 0..shards {
-                let table = &table;
-                let lanes = &lanes;
-                handles.push(
-                    scope.spawn(move || self.run_shard(s, shards, table, lanes, observed, fed)),
-                );
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("eps shard panicked"))
-                .collect()
-        });
-        let mut first: Option<(usize, RelationError<A>)> = miss;
-        let mut max_dev = Duration::ZERO;
-        let mut matched = 0usize;
-        for outcome in outcomes {
-            if let Some((at, e)) = outcome.error {
-                if first.as_ref().is_none_or(|(best, _)| at < *best) {
-                    first = Some((at, e));
-                }
-            }
-            max_dev = max_dev.max(outcome.max_dev);
-            matched += outcome.matched;
-        }
-        match first {
-            Some((_, e)) => Err(e),
-            None => Ok(Witness {
-                max_deviation: max_dev,
-                matched,
-            }),
-        }
-    }
-
-    fn run_shard(
-        &self,
-        shard: usize,
-        shards: usize,
-        table: &LaneTable<A>,
-        lanes: &[usize],
-        observed: &TimedTrace<A>,
-        fed: usize,
-    ) -> ShardOutcome<A> {
-        let mut cursors = vec![0usize; table.indices.len()];
-        let mut outcome = ShardOutcome {
-            error: None,
-            max_dev: Duration::ZERO,
-            matched: 0,
-        };
-        for (position, &lane) in lanes.iter().enumerate().take(fed) {
-            if lane % shards != shard {
-                continue;
-            }
-            let (action, time) = observed.get(position).expect("classified in range");
-            let class = table.class_of_lane(lane);
-            let indices = &table.indices[lane];
-            let cursor = &mut cursors[lane];
-            let Some(&i) = indices.get(*cursor) else {
-                outcome.error = Some((
-                    position,
-                    RelationError::CardinalityMismatch {
-                        class,
-                        left: indices.len(),
-                        right: indices.len() + 1,
-                    },
-                ));
-                break;
-            };
-            let pos = *cursor;
-            *cursor += 1;
-            let (ra, rt) = self.reference.get(i).expect("lane index in range");
-            if ra != action {
-                outcome.error = Some((
-                    position,
-                    RelationError::ActionMismatch {
-                        class,
-                        position: pos,
-                        left: ra.clone(),
-                        right: action.clone(),
-                    },
-                ));
-                break;
-            }
-            let dev = rt.skew(time);
-            if dev > self.eps {
-                outcome.error = Some((
-                    position,
-                    RelationError::TimeBound {
-                        action: ra.clone(),
-                        left_time: rt,
-                        right_time: time,
-                        bound: self.eps,
-                    },
-                ));
-                break;
-            }
-            outcome.max_dev = outcome.max_dev.max(dev);
-            outcome.matched += 1;
-        }
-        if outcome.error.is_none() && fed == observed.len() {
-            // Finish-phase leftovers, ordered after every observed index
-            // by lane ordinal so the merge picks the smallest lane — the
-            // sequential finish order.
-            for (lane, indices) in table.indices.iter().enumerate() {
-                if lane % shards != shard {
-                    continue;
-                }
-                if cursors[lane] < indices.len() {
-                    outcome.error = Some((
-                        observed.len() + lane,
-                        RelationError::CardinalityMismatch {
-                            class: table.class_of_lane(lane),
-                            left: indices.len(),
-                            right: cursors[lane],
-                        },
-                    ));
-                    break;
-                }
-            }
-        }
-        outcome
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psync_time::Time;
+    use psync_time::{Duration, Time};
     use psync_verify::FnOracle;
-
-    fn t(n: i64) -> Time {
-        Time::ZERO + Duration::from_millis(n)
-    }
-
-    fn ms(n: i64) -> Duration {
-        Duration::from_millis(n)
-    }
-
-    fn per_letter() -> ClassMap<&'static str> {
-        ClassMap::by(|a: &&str| match a.as_bytes().first() {
-            Some(b'a') => Some(0),
-            Some(b'b') => Some(1),
-            _ => None,
-        })
-    }
-
-    fn sequential(
-        reference: &TimedTrace<&'static str>,
-        observed: &TimedTrace<&'static str>,
-        eps: Duration,
-        classes: &ClassMap<&'static str>,
-    ) -> Result<Witness, RelationError<&'static str>> {
-        let mut m = StreamingEps::new(reference, eps, classes);
-        for (a, time) in observed.iter() {
-            m.observe(a, time);
-        }
-        m.finish()
-    }
-
-    #[test]
-    fn sharded_matches_sequential_on_accept_and_reject() {
-        let classes = per_letter();
-        let reference = TimedTrace::from_pairs(vec![
-            ("a1", t(0)),
-            ("b1", t(1)),
-            ("x", t(2)),
-            ("a2", t(3)),
-            ("b2", t(4)),
-            ("y", t(5)),
-        ]);
-        let cases = vec![
-            // accept
-            vec![
-                ("a1", t(1)),
-                ("b1", t(1)),
-                ("x", t(2)),
-                ("a2", t(4)),
-                ("b2", t(4)),
-                ("y", t(5)),
-            ],
-            // time bound in class 0 at index 3
-            vec![
-                ("a1", t(1)),
-                ("b1", t(1)),
-                ("x", t(2)),
-                ("a2", t(9)),
-                ("b2", t(9)),
-                ("y", t(9)),
-            ],
-            // action mismatch in class 1
-            vec![("a1", t(0)), ("b2", t(1))],
-            // extra rest action (lane overrun)
-            vec![("x", t(2)), ("x", t(2))],
-            // unknown rest action (lane miss)
-            vec![("z", t(0))],
-            // leftovers at finish
-            vec![("a1", t(0))],
-            vec![],
-        ];
-        for observed in cases {
-            let observed = TimedTrace::from_pairs(observed);
-            let expected = sequential(&reference, &observed, ms(2), &classes);
-            for shards in [1, 2, 3, 8] {
-                let got = ShardedEps::new(&reference, ms(2), &classes, shards).check(&observed);
-                assert_eq!(got, expected, "shards={shards}");
-            }
-        }
-    }
 
     #[test]
     fn check_all_sharded_is_shard_count_invariant() {
         use psync_automata::toys::BeepAction;
-        let exec: Execution<BeepAction> = Execution::new(Vec::new(), t(1));
+        let exec: Execution<BeepAction> =
+            Execution::new(Vec::new(), Time::ZERO + Duration::from_millis(1));
         let oracles: Vec<Box<dyn Oracle<BeepAction>>> = (0..7)
             .map(|i| {
                 Box::new(FnOracle::new(format!("o{i}"), move |_: &Execution<_>| {
