@@ -9,7 +9,7 @@ test:
 
 lint:
 	cargo clippy --workspace --all-targets -- -D warnings
-	cargo fmt --all --check 2>/dev/null || true
+	cargo fmt --all --check
 
 doc:
 	cargo doc --workspace --no-deps

@@ -33,8 +33,8 @@ use psync_core::{
     DmNodeConfig, NodeSpec,
 };
 use psync_executor::{
-    ClockStrategy, DriftClock, Engine, OffsetClock, PerfectClock, RandomScheduler, RandomWalkClock,
-    StopReason,
+    ClockStrategy, DriftClock, Engine, EngineBuilder, OffsetClock, PerfectClock, RandomScheduler,
+    RandomWalkClock, StopReason,
 };
 use psync_mmt::{StepPolicy, TickConfig};
 use psync_net::{MaxDelay, NodeId, Script, SeededDelay, SysAction, Topology};
@@ -155,6 +155,13 @@ impl Scenario {
     /// callers that measure the run apart from the assembly.
     #[must_use]
     pub fn dc_engine(&self, params: &RegisterParams) -> Engine<RegAction> {
+        self.dc_builder(params).build()
+    }
+
+    /// [`Scenario::dc_engine`] one step before `build()`, for callers that
+    /// attach an observer to the same system.
+    #[must_use]
+    pub fn dc_builder(&self, params: &RegisterParams) -> EngineBuilder<RegAction> {
         let topo = self.topo();
         let algorithms = topo
             .nodes()
@@ -171,7 +178,6 @@ impl Scenario {
         .timed(self.workload())
         .scheduler(RandomScheduler::new(self.seed))
         .horizon(Time::ZERO + Duration::from_secs(30))
-        .build()
     }
 
     /// As [`Scenario::run_dc`] but with explicit algorithm parameters

@@ -18,7 +18,11 @@
 //! A third test pins the product path the ring does not touch: the D_C
 //! register system (Algorithm S through Simulation 1, clock nodes, clock
 //! channels) at n = 8, where every `ν` used to re-box the state of every
-//! buffer and channel.
+//! buffer and channel. A fourth runs the same system with
+//! [`psync_obs::EngineMetrics`] attached, as every explorer case, the live
+//! runtime and the benchmark's sim workloads run it: the attached observer
+//! resolves its metric names to registry slots once and must then record
+//! without allocating.
 //!
 //! Every engine is built *outside* the counted region: the diet targets
 //! the run loop, and one-time construction (routing table, name interning)
@@ -33,6 +37,7 @@ use psync_bench::ring::{
     build_ring_engine, build_ring_heavy_engine, ring_horizon, run_ring_heavy, run_ring_incremental,
 };
 use psync_bench::Scenario;
+use psync_obs::MetricsHub;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -68,6 +73,23 @@ const U32_ALLOCS_PER_EVENT_CEILING: f64 = 7.2;
 /// seed. Before the hints every `ν` re-boxed all 177 states and the same
 /// run read 90.137. The ceiling leaves ~0.9 of headroom.
 const DC_N8_ALLOCS_PER_EVENT_CEILING: f64 = 8.9;
+
+/// How many allocations per event attaching `EngineMetrics` may add to the
+/// D_C n = 8 run. The tap allocates once per distinct action name (the
+/// `engine.action.<name>` key) and once per histogram it first records
+/// into: 0.009 allocs/event on this run. When every hook built a `String`
+/// key and walked a `BTreeMap<String, _>` the same run read 23.711 attached
+/// against 7.991 detached.
+const OBSERVER_ALLOCS_PER_EVENT_CEILING: f64 = 0.1;
+
+/// The D_C register system both product-path tests run (3596 events).
+fn dc_n8() -> Scenario {
+    Scenario {
+        n: 8,
+        ops_per_node: 20,
+        ..Scenario::default_with(7)
+    }
+}
 
 fn measured_events(events: usize) -> f64 {
     let events = events as f64;
@@ -126,11 +148,7 @@ fn u32_ring_n32_allocations_per_event_stay_bounded() {
 
 #[test]
 fn dc_register_n8_allocations_per_event_stay_bounded() {
-    let scenario = Scenario {
-        n: 8,
-        ops_per_node: 20,
-        ..Scenario::default_with(7)
-    };
+    let scenario = dc_n8();
     let params = scenario.params();
     let events = measured_events(scenario.run_dc().len());
 
@@ -147,5 +165,38 @@ fn dc_register_n8_allocations_per_event_stay_bounded() {
         per_event < DC_N8_ALLOCS_PER_EVENT_CEILING,
         "product path grew a per-event allocation: {per_event:.3} allocs/event >= ceiling \
          {DC_N8_ALLOCS_PER_EVENT_CEILING}"
+    );
+}
+
+#[test]
+fn dc_register_n8_attached_metrics_observer_allocates_nothing_per_event() {
+    let scenario = dc_n8();
+    let params = scenario.params();
+    let events = measured_events(scenario.run_dc().len());
+
+    let mut detached = scenario.dc_engine(&params);
+    let (run, detached_allocs) = ALLOC.count(move || detached.run().expect("D_C run"));
+    assert_eq!(run.execution.len() as f64, events);
+
+    let hub = MetricsHub::new();
+    let mut attached = scenario
+        .dc_builder(&params)
+        .observer(hub.engine_observer())
+        .build();
+    let (run, attached_allocs) = ALLOC.count(move || attached.run().expect("D_C run"));
+    assert_eq!(run.execution.len() as f64, events);
+    assert_eq!(hub.snapshot().counter("engine.steps") as f64, events);
+
+    let per_event = (attached_allocs as f64 - detached_allocs as f64) / events;
+    eprintln!(
+        "D_C register n=8: {:.3} allocs/event detached, {:.3} with EngineMetrics attached \
+         (+{per_event:.3}, ceiling +{OBSERVER_ALLOCS_PER_EVENT_CEILING})",
+        detached_allocs as f64 / events,
+        attached_allocs as f64 / events,
+    );
+    assert!(
+        per_event < OBSERVER_ALLOCS_PER_EVENT_CEILING,
+        "the attached metrics observer allocates per event again: +{per_event:.3} allocs/event \
+         over the detached run >= ceiling +{OBSERVER_ALLOCS_PER_EVENT_CEILING}"
     );
 }

@@ -3,8 +3,8 @@
 //! An [`Observer`] is attached at build time
 //! ([`EngineBuilder::observer`](crate::EngineBuilder::observer)) and is
 //! invoked by both [`Engine`](crate::Engine) and
-//! [`ReferenceEngine`](crate::ReferenceEngine) at the same four points, in
-//! the same order:
+//! [`ReferenceEngine`](crate::ReferenceEngine) at the same six points. Four
+//! belong to the run loop and come in the same order on both engines:
 //!
 //! 1. [`on_candidates`](Observer::on_candidates) — after the candidate set
 //!    is assembled and found non-empty, before the scheduler picks;
@@ -13,9 +13,17 @@
 //!    reading recorded with the event), and once per node per time advance
 //!    (the strategy's freshly validated clock value);
 //! 3. [`on_event`](Observer::on_event) — after an action fires, with the
-//!    exact [`TimedEvent`] appended to the execution;
+//!    exact [`TimedEvent`] appended to the execution and its index there;
 //! 4. [`on_advance`](Observer::on_advance) — at the start of every `ν`
 //!    time-passage step.
+//!
+//! Two belong to the checkpoint machinery and fire outside the loop:
+//!
+//! 5. [`on_checkpoint`](Observer::on_checkpoint) — when the engine captures
+//!    a checkpoint, with the length of the prefix recorded so far;
+//! 6. [`on_restore`](Observer::on_restore) — when the engine is rewound to
+//!    a checkpoint, with the restored prefix, so a stateful observer can
+//!    rebuild what it would have accumulated by watching that prefix.
 //!
 //! Observers are strictly *read-only* taps: they cannot influence
 //! scheduling, component state or the recorded execution, so a run with

@@ -44,7 +44,7 @@ pub mod online;
 pub mod shard;
 
 pub use approx::{ApproxDelta, ApproxEps, ApproxViolation, ApproxWitness, StableFnv};
-pub use metrics::{Histogram, MetricsSnapshot, Registry};
+pub use metrics::{CounterId, Histogram, HistogramId, MetricsSnapshot, Registry};
 pub use monitor::{DeltaTraceOracle, EpsTraceOracle, StreamingDelta, StreamingEps};
 pub use observe::{
     CEpsMonitor, CEpsOracle, ChannelDelayObserver, EngineMetrics, MetricsHub, ADVANCE_NS_BOUNDS,

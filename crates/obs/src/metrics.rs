@@ -3,11 +3,12 @@
 //!
 //! Determinism is load-bearing: the explorer's replay coverage asserts
 //! that re-running a case from a JSON artifact reproduces the *same*
-//! [`MetricsSnapshot`], so metric names are kept in sorted order
-//! (`BTreeMap`) rather than insertion or hash order, and snapshots derive
-//! `PartialEq`/`Eq`. The JSON writer is hand-rolled in the same style as
-//! `psync-explorer`'s `json` module (objects keep key order, two-space
-//! indent, integers only) so snapshots parse with that module's parser.
+//! [`MetricsSnapshot`], so snapshots list metrics in sorted name order
+//! (the registry's name index is a `BTreeMap`) rather than insertion, slot
+//! or hash order, and derive `PartialEq`/`Eq`. The JSON writer is
+//! hand-rolled in the same style as `psync-explorer`'s `json` module
+//! (objects keep key order, two-space indent, integers only) so snapshots
+//! parse with that module's parser.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -115,17 +116,54 @@ impl Histogram {
     }
 }
 
+/// A resolved handle on one counter of the [`Registry`] that issued it
+/// ([`Registry::counter_id`]). Valid for that registry (and its clones)
+/// for as long as it lives, across [`Registry::restore`] included.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterId(usize);
+
+/// A resolved handle on one histogram of the [`Registry`] that issued it
+/// ([`Registry::histogram_id`]); same validity as [`CounterId`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HistogramId(usize);
+
 /// A registry of named counters and histograms.
 ///
-/// Names are kept sorted (`BTreeMap`), so two registries fed the same
-/// updates in *any* order produce equal [`MetricsSnapshot`]s — the
-/// property the explorer's replay tests pin.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Counters and histograms live in slot vectors; a sorted name → slot
+/// index sits beside each. A caller on a hot path resolves a name once
+/// ([`counter_id`](Registry::counter_id),
+/// [`histogram_id`](Registry::histogram_id)) and then updates by index
+/// ([`add_to`](Registry::add_to), [`observe_in`](Registry::observe_in)) —
+/// no `String`, no map walk. The name-keyed methods are the same two steps
+/// in one call.
+///
+/// A slot is *empty* until something is recorded into it, and an empty
+/// slot is invisible: it appears in no snapshot, reads as `0` / `None`,
+/// and does not take part in `==`. Resolving a handle therefore never
+/// changes what a registry reports, and two registries fed the same
+/// updates in *any* order — with handles resolved in any order — produce
+/// equal [`MetricsSnapshot`]s, the property the explorer's replay tests
+/// pin. Slots are never removed, so a handle outlives
+/// [`restore`](Registry::restore).
+#[derive(Debug, Clone, Default)]
 pub struct Registry {
-    counters: BTreeMap<String, u64>,
+    counters: Vec<Option<u64>>,
+    counter_slots: BTreeMap<String, usize>,
     gauges: BTreeMap<String, i64>,
-    histograms: BTreeMap<String, Histogram>,
+    histograms: Vec<Option<Histogram>>,
+    histogram_slots: BTreeMap<String, usize>,
 }
+
+/// Metrics, not slot layout: empty slots and slot order do not count.
+impl PartialEq for Registry {
+    fn eq(&self, other: &Registry) -> bool {
+        self.recorded_counters().eq(other.recorded_counters())
+            && self.gauges == other.gauges
+            && self.recorded_histograms().eq(other.recorded_histograms())
+    }
+}
+
+impl Eq for Registry {}
 
 impl Registry {
     /// Creates an empty registry.
@@ -134,9 +172,51 @@ impl Registry {
         Registry::default()
     }
 
+    /// Resolves counter `name` to its slot, reserving an empty one on
+    /// first sight. Allocates only then.
+    pub fn counter_id(&mut self, name: &str) -> CounterId {
+        CounterId(slot_of(&mut self.counter_slots, &mut self.counters, name))
+    }
+
+    /// Resolves histogram `name` to its slot, reserving an empty one on
+    /// first sight. Allocates only then.
+    pub fn histogram_id(&mut self, name: &str) -> HistogramId {
+        HistogramId(slot_of(
+            &mut self.histogram_slots,
+            &mut self.histograms,
+            name,
+        ))
+    }
+
+    /// Adds `delta` to the counter behind `id`, creating it at zero first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was issued by an unrelated registry with fewer slots.
+    #[inline]
+    pub fn add_to(&mut self, id: CounterId, delta: u64) {
+        *self.counters[id.0].get_or_insert(0) += delta;
+    }
+
+    /// Records `value` into the histogram behind `id`, creating it with
+    /// `bounds` on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics (via [`Histogram::with_bounds`]) if a new histogram is given
+    /// invalid bounds, or if `id` was issued by an unrelated registry with
+    /// fewer slots.
+    #[inline]
+    pub fn observe_in(&mut self, id: HistogramId, bounds: &[i64], value: i64) {
+        self.histograms[id.0]
+            .get_or_insert_with(|| Histogram::with_bounds(bounds))
+            .observe(value);
+    }
+
     /// Adds `delta` to the counter `name`, creating it at zero first.
     pub fn add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+        let id = self.counter_id(name);
+        self.add_to(id, delta);
     }
 
     /// Sets the gauge `name` to `value` — a last-write-wins level, for
@@ -154,16 +234,17 @@ impl Registry {
     /// Panics (via [`Histogram::with_bounds`]) if a new histogram is given
     /// invalid bounds.
     pub fn observe(&mut self, name: &str, bounds: &[i64], value: i64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::with_bounds(bounds))
-            .observe(value);
+        let id = self.histogram_id(name);
+        self.observe_in(id, bounds, value);
     }
 
     /// The current value of counter `name` (0 when absent).
     #[must_use]
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        self.counter_slots
+            .get(name)
+            .and_then(|&slot| self.counters[slot])
+            .unwrap_or(0)
     }
 
     /// The current value of gauge `name`, if it was ever set.
@@ -175,19 +256,39 @@ impl Registry {
     /// The histogram `name`, if any sample was recorded under it.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
+        self.histogram_slots
+            .get(name)
+            .and_then(|&slot| self.histograms[slot].as_ref())
+    }
+
+    /// `(name, value)` of every counter something was added to, ascending
+    /// by name.
+    fn recorded_counters(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.counter_slots
+            .iter()
+            .filter_map(|(name, &slot)| Some((name.as_str(), self.counters[slot]?)))
+    }
+
+    /// `(name, histogram)` of every histogram with a sample, ascending by
+    /// name.
+    fn recorded_histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
+        self.histogram_slots
+            .iter()
+            .filter_map(|(name, &slot)| Some((name.as_str(), self.histograms[slot].as_ref()?)))
     }
 
     /// An immutable, order-stable snapshot of every metric.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self.counters.iter().map(|(k, v)| (k.clone(), *v)).collect(),
+            counters: self
+                .recorded_counters()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
             gauges: self.gauges.iter().map(|(k, v)| (k.clone(), *v)).collect(),
             histograms: self
-                .histograms
-                .iter()
-                .map(|(k, h)| (k.clone(), h.clone()))
+                .recorded_histograms()
+                .map(|(k, h)| (k.to_string(), h.clone()))
                 .collect(),
         }
     }
@@ -203,7 +304,7 @@ impl Registry {
     /// Panics if a histogram shared by name has different bucket bounds.
     pub fn absorb(&mut self, snapshot: &MetricsSnapshot) {
         for (name, v) in &snapshot.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += v;
+            self.add(name, *v);
         }
         for (name, v) in &snapshot.gauges {
             self.gauges
@@ -212,11 +313,10 @@ impl Registry {
                 .or_insert(*v);
         }
         for (name, h) in &snapshot.histograms {
-            match self.histograms.entry(name.clone()) {
-                std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().merge(h),
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(h.clone());
-                }
+            let id = self.histogram_id(name);
+            match &mut self.histograms[id.0] {
+                Some(mine) => mine.merge(h),
+                empty => *empty = Some(h.clone()),
             }
         }
     }
@@ -225,23 +325,29 @@ impl Registry {
     /// `snapshot` — the inverse of [`Registry::snapshot`], so
     /// `restore(snap)` followed by `self.snapshot()` yields `snap` exactly.
     /// Used to rewind metrics alongside an engine checkpoint restore.
+    /// Slots are emptied, not removed: handles resolved before the restore
+    /// keep recording into the same names after it.
     pub fn restore(&mut self, snapshot: &MetricsSnapshot) {
-        self.counters = snapshot
-            .counters
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect();
-        self.gauges = snapshot
-            .gauges
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect();
-        self.histograms = snapshot
-            .histograms
-            .iter()
-            .map(|(k, h)| (k.clone(), h.clone()))
-            .collect();
+        self.counters.fill(None);
+        self.histograms.fill(None);
+        self.gauges.clear();
+        self.absorb(snapshot);
     }
+}
+
+/// The slot `index` maps `name` to, pushing an empty one onto `slots` the
+/// first time the name is seen.
+fn slot_of<T>(
+    index: &mut BTreeMap<String, usize>,
+    slots: &mut Vec<Option<T>>,
+    name: &str,
+) -> usize {
+    if let Some(&slot) = index.get(name) {
+        return slot;
+    }
+    slots.push(None);
+    index.insert(name.to_string(), slots.len() - 1);
+    slots.len() - 1
 }
 
 /// A point-in-time copy of a [`Registry`], sorted by metric name.

@@ -7,19 +7,23 @@
 //! [`MetricsHub::engine_observer`] hands out taps that feed the hub from
 //! inside an engine run; the hub stays outside and takes
 //! [`snapshot`](MetricsHub::snapshot)s whenever it likes.
+//!
+//! The taps run on every hook of every event, so they resolve each metric
+//! name to a registry slot once ([`CounterId`], [`HistogramId`]) and
+//! record by index afterwards; a resolved slot nothing was recorded into
+//! stays invisible, so a tap's snapshot lists exactly what it observed.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::rc::Rc;
 
 use psync_automata::{Action, ActionKind, Execution, TimedEvent, Verdict};
 use psync_executor::{ClockRead, Observer};
-use psync_net::{MsgId, SysAction};
+use psync_net::{MsgId, NodeId, SysAction};
 use psync_time::{Duration, Time};
 use psync_verify::Oracle;
 
-use crate::metrics::{MetricsSnapshot, Registry};
+use crate::metrics::{CounterId, HistogramId, MetricsSnapshot, Registry};
 
 /// Bucket bounds for the scheduler queue-depth histogram.
 pub const QUEUE_DEPTH_BOUNDS: &[i64] = &[1, 2, 4, 8, 16, 32, 64];
@@ -63,8 +67,11 @@ impl MetricsHub {
     /// time-passage sizes. Attach via `EngineBuilder::observer`.
     #[must_use]
     pub fn engine_observer(&self) -> EngineMetrics {
+        let ids = EngineMetricIds::resolve(&mut self.registry.borrow_mut());
         EngineMetrics {
             registry: Rc::clone(&self.registry),
+            ids,
+            actions: Vec::new(),
             count_checkpoint_ops: true,
         }
     }
@@ -76,6 +83,7 @@ impl MetricsHub {
         ChannelDelayObserver {
             registry: Rc::clone(&self.registry),
             in_flight: HashMap::new(),
+            channels: HashMap::new(),
         }
     }
 
@@ -126,6 +134,53 @@ impl MetricsHub {
     }
 }
 
+/// The fixed metrics of [`EngineMetrics`], resolved once per tap.
+#[derive(Debug, Clone, Copy)]
+struct EngineMetricIds {
+    scheduling_points: CounterId,
+    queue_depth: HistogramId,
+    clock_reads: CounterId,
+    clock_drift_ns: HistogramId,
+    steps: CounterId,
+    steps_input: CounterId,
+    steps_output: CounterId,
+    steps_internal: CounterId,
+    deliveries: CounterId,
+    advances: CounterId,
+    advance_ns: HistogramId,
+    checkpoints: CounterId,
+    restores: CounterId,
+}
+
+impl EngineMetricIds {
+    fn resolve(reg: &mut Registry) -> EngineMetricIds {
+        EngineMetricIds {
+            scheduling_points: reg.counter_id("engine.scheduling_points"),
+            queue_depth: reg.histogram_id("engine.queue_depth"),
+            clock_reads: reg.counter_id("engine.clock_reads"),
+            clock_drift_ns: reg.histogram_id("engine.clock_drift_ns"),
+            steps: reg.counter_id("engine.steps"),
+            steps_input: reg.counter_id("engine.steps.input"),
+            steps_output: reg.counter_id("engine.steps.output"),
+            steps_internal: reg.counter_id("engine.steps.internal"),
+            deliveries: reg.counter_id("engine.deliveries"),
+            advances: reg.counter_id("engine.advances"),
+            advance_ns: reg.histogram_id("engine.advance_ns"),
+            checkpoints: reg.counter_id("engine.checkpoints"),
+            restores: reg.counter_id("engine.restores"),
+        }
+    }
+}
+
+/// One action name this tap has seen: its `engine.action.<name>` counter
+/// and whether firing it is a message delivery.
+#[derive(Debug, Clone, Copy)]
+struct SeenAction {
+    name: &'static str,
+    counter: CounterId,
+    is_delivery: bool,
+}
+
 /// The engine-level metrics tap (see [`MetricsHub::engine_observer`]).
 ///
 /// Implements [`Observer`] for *every* action type; action-specific
@@ -133,6 +188,9 @@ impl MetricsHub {
 #[derive(Debug)]
 pub struct EngineMetrics {
     registry: Rc<RefCell<Registry>>,
+    ids: EngineMetricIds,
+    /// A handful of names per system, so a linear scan beats hashing.
+    actions: Vec<SeenAction>,
     count_checkpoint_ops: bool,
 }
 
@@ -149,20 +207,38 @@ impl EngineMetrics {
         self.count_checkpoint_ops = false;
         self
     }
+
+    /// The cached entry for action `name`, resolved on first sight.
+    ///
+    /// Names are matched by text, never by address: equal text can live at
+    /// two addresses (one literal per crate, or per codegen unit) and must
+    /// feed one counter.
+    fn seen(actions: &mut Vec<SeenAction>, reg: &mut Registry, name: &'static str) -> SeenAction {
+        if let Some(hit) = actions.iter().find(|a| a.name == name) {
+            return *hit;
+        }
+        let seen = SeenAction {
+            name,
+            counter: reg.counter_id(&format!("engine.action.{name}")),
+            is_delivery: name == "RECVMSG" || name == "ERECVMSG",
+        };
+        actions.push(seen);
+        seen
+    }
 }
 
 impl<A: Action> Observer<A> for EngineMetrics {
     fn on_candidates(&mut self, _now: Time, depth: usize) {
         let mut reg = self.registry.borrow_mut();
-        reg.add("engine.scheduling_points", 1);
-        reg.observe("engine.queue_depth", QUEUE_DEPTH_BOUNDS, depth as i64);
+        reg.add_to(self.ids.scheduling_points, 1);
+        reg.observe_in(self.ids.queue_depth, QUEUE_DEPTH_BOUNDS, depth as i64);
     }
 
     fn on_clock_read(&mut self, read: ClockRead) {
         let mut reg = self.registry.borrow_mut();
-        reg.add("engine.clock_reads", 1);
-        reg.observe(
-            "engine.clock_drift_ns",
+        reg.add_to(self.ids.clock_reads, 1);
+        reg.observe_in(
+            self.ids.clock_drift_ns,
             DRIFT_NS_BOUNDS,
             read.now.skew(read.clock).as_nanos(),
         );
@@ -170,30 +246,27 @@ impl<A: Action> Observer<A> for EngineMetrics {
 
     fn on_event(&mut self, _index: usize, event: &TimedEvent<A>) {
         let mut reg = self.registry.borrow_mut();
-        reg.add("engine.steps", 1);
-        reg.add(
+        reg.add_to(self.ids.steps, 1);
+        reg.add_to(
             match event.kind {
-                ActionKind::Input => "engine.steps.input",
-                ActionKind::Output => "engine.steps.output",
-                ActionKind::Internal => "engine.steps.internal",
+                ActionKind::Input => self.ids.steps_input,
+                ActionKind::Output => self.ids.steps_output,
+                ActionKind::Internal => self.ids.steps_internal,
             },
             1,
         );
-        let name = event.action.name();
-        let mut key = String::with_capacity(14 + name.len());
-        key.push_str("engine.action.");
-        key.push_str(name);
-        reg.add(&key, 1);
-        if name == "RECVMSG" || name == "ERECVMSG" {
-            reg.add("engine.deliveries", 1);
+        let action = Self::seen(&mut self.actions, &mut reg, event.action.name());
+        reg.add_to(action.counter, 1);
+        if action.is_delivery {
+            reg.add_to(self.ids.deliveries, 1);
         }
     }
 
     fn on_advance(&mut self, from: Time, to: Time) {
         let mut reg = self.registry.borrow_mut();
-        reg.add("engine.advances", 1);
-        reg.observe(
-            "engine.advance_ns",
+        reg.add_to(self.ids.advances, 1);
+        reg.observe_in(
+            self.ids.advance_ns,
             ADVANCE_NS_BOUNDS,
             (to - from).as_nanos(),
         );
@@ -201,13 +274,13 @@ impl<A: Action> Observer<A> for EngineMetrics {
 
     fn on_checkpoint(&mut self, _events: usize) {
         if self.count_checkpoint_ops {
-            self.registry.borrow_mut().add("engine.checkpoints", 1);
+            self.registry.borrow_mut().add_to(self.ids.checkpoints, 1);
         }
     }
 
     fn on_restore(&mut self, _events: &[TimedEvent<A>]) {
         if self.count_checkpoint_ops {
-            self.registry.borrow_mut().add("engine.restores", 1);
+            self.registry.borrow_mut().add_to(self.ids.restores, 1);
         }
     }
 }
@@ -223,6 +296,9 @@ impl<A: Action> Observer<A> for EngineMetrics {
 pub struct ChannelDelayObserver {
     registry: Rc<RefCell<Registry>>,
     in_flight: HashMap<MsgId, Time>,
+    /// The histogram of each edge that has delivered, resolved at its
+    /// first delivery.
+    channels: HashMap<(NodeId, NodeId), HistogramId>,
 }
 
 impl<M, AP> Observer<SysAction<M, AP>> for ChannelDelayObserver
@@ -237,13 +313,11 @@ where
             }
             SysAction::Recv(env) | SysAction::ERecv(env, _) => {
                 if let Some(sent) = self.in_flight.get(&env.id) {
-                    let mut key = String::new();
-                    let _ = write!(key, "channel.delay_ns.{}->{}", env.src, env.dst);
-                    self.registry.borrow_mut().observe(
-                        &key,
-                        DELAY_NS_BOUNDS,
-                        (event.now - *sent).as_nanos(),
-                    );
+                    let mut reg = self.registry.borrow_mut();
+                    let id = *self.channels.entry((env.src, env.dst)).or_insert_with(|| {
+                        reg.histogram_id(&format!("channel.delay_ns.{}->{}", env.src, env.dst))
+                    });
+                    reg.observe_in(id, DELAY_NS_BOUNDS, (event.now - *sent).as_nanos());
                 }
             }
             _ => {}
@@ -454,6 +528,34 @@ mod tests {
         Observer::<BeepAction>::on_checkpoint(&mut quiet, 4);
         Observer::<BeepAction>::on_restore(&mut quiet, &[]);
         assert_eq!(quiet_hub.snapshot(), MetricsSnapshot::default());
+    }
+
+    #[test]
+    fn equal_action_names_at_two_addresses_feed_one_counter() {
+        let copy = || -> &'static str { Box::leak(String::from("RECVMSG").into_boxed_str()) };
+        let (first, second) = (copy(), copy());
+        assert!(!std::ptr::eq(first, second));
+
+        let hub = MetricsHub::new();
+        let mut tap = hub.engine_observer();
+        for (index, action) in [first, second, first].into_iter().enumerate() {
+            let event = TimedEvent {
+                action,
+                kind: ActionKind::Input,
+                now: at(1),
+                clock: None,
+                node: None,
+            };
+            tap.on_event(index, &event);
+        }
+        let snap = hub.snapshot();
+        assert_eq!(snap.counter("engine.action.RECVMSG"), 3);
+        assert_eq!(snap.counter("engine.deliveries"), 3);
+        assert_eq!(
+            snap.counters.len(),
+            4,
+            "steps, steps.input and the two above"
+        );
     }
 
     #[test]
