@@ -27,5 +27,11 @@ experiments:
 bench:
 	cargo bench -p psync-bench
 
+# Lines of Rust: product source (the figure ROADMAP item 4 budgets
+# against) on its own line, then everything that exercises it. `vendor/`
+# and every `target/` are left out.
 loc:
-	find . -name "*.rs" -not -path "./target/*" | xargs wc -l | tail -1
+	@find crates/*/src -name "*.rs" | xargs cat | wc -l | xargs printf "%6d crates/*/src\n"
+	@find src tests examples crates/*/tests crates/*/benches benchmark/src benchmark/tests \
+	    -name "*.rs" | xargs cat | wc -l \
+	    | xargs printf "%6d src, tests, benches, examples, benchmark/{src,tests}\n"

@@ -1,7 +1,7 @@
-//! Monitor throughput: exact vs approximate judging of million-event
-//! traces (ISSUE 9, reported in `EXPERIMENTS.md` §E18).
+//! Monitor throughput: post-hoc vs streaming exact judging of
+//! million-event traces (reported in `EXPERIMENTS.md` §E18).
 //!
-//! One workload, three judging pipelines, trace lengths up to 10⁶ events
+//! One workload, two judging pipelines, trace lengths up to 10⁶ events
 //! (eight `κ`-classes plus eight unclassified action values, 1 µs event
 //! spacing, a slowly drifting ≤ 600 µs offset between reference and
 //! observed — comfortably inside ε = 2 ms, so the accept path judges
@@ -11,18 +11,13 @@
 //!   materialize the observed trace (clone every action), then run the
 //!   offline `eps_equivalent` matcher;
 //! - `stream_exact` — `StreamingEps` fed event by event, no observed
-//!   trace resident, but the full reference is (O(|reference|) memory);
-//! - `stream_approx` — `ApproxEps` with grain = 1 ms: the reference is
-//!   compressed to run-length buckets at construction, so memory is
-//!   bounded by time-span/grain, and every verdict carries ±err = grain.
+//!   trace resident, but the full reference is (O(|reference|) memory).
 //!
 //! Besides the criterion sweep this bench writes `BENCH_monitor.json`
-//! (override the path with `PSYNC_BENCH_OUT`) and asserts the ISSUE 9
-//! acceptance bar on the spot: at 10⁶ events the approximate mode judges
-//! ≥ 3× the events/s of the exact post-hoc mode with a working set ≥ 20×
-//! smaller, the exact streaming witness equals the offline one, the
-//! approximate witness sits within ±err of it, and a planted violation
-//! is rejected by every pipeline. `PSYNC_BENCH_SMOKE=1` caps the sweep at
+//! (override the path with `PSYNC_BENCH_OUT`) and asserts on the spot:
+//! at 10⁶ events the streaming monitor judges ≥ 3× the events/s of the
+//! post-hoc mode, its witness equals the offline one, and a planted
+//! violation is rejected by both. `PSYNC_BENCH_SMOKE=1` caps the sweep at
 //! 10⁵ events and skips the throughput-ratio assertion (CI runners have
 //! no quiet cores to promise ratios on) while keeping every correctness
 //! assertion.
@@ -32,11 +27,11 @@ use std::time::Instant;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use psync_automata::relations::{eps_equivalent, ClassMap, RelationError, Witness};
 use psync_automata::{Action, TimedTrace};
-use psync_obs::{ApproxEps, StreamingEps};
+use psync_obs::StreamingEps;
 use psync_time::{Duration, Time};
 
-/// A heap-allocated event label — the realistic (cache-unfriendly) case
-/// for the exact pipelines, which keep every label resident.
+/// A heap-allocated event label — the realistic (cache-unfriendly) case:
+/// both pipelines keep every label resident.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 struct Evt(String);
 
@@ -47,7 +42,6 @@ impl Action for Evt {
 }
 
 const EPS: Duration = Duration::from_millis(2);
-const GRAIN: Duration = Duration::from_millis(1);
 const SPACING_NS: i64 = 1_000;
 
 fn smoke() -> bool {
@@ -86,8 +80,8 @@ fn reference_time(i: usize) -> Time {
 }
 
 /// A triangle-wave offset in [0, 600 µs] changing by ≤ 1 µs per 1024
-/// events: large enough to cross grain-lattice cells, slow enough that
-/// observed times stay non-decreasing, small enough to stay inside ε.
+/// events: slow enough that observed times stay non-decreasing, small
+/// enough to stay inside ε.
 fn drift(i: usize) -> Duration {
     let phase = (i / 1024) % 1200;
     Duration::from_micros(phase.min(1200 - phase) as i64)
@@ -127,35 +121,7 @@ fn stream_exact(
     m.finish()
 }
 
-/// Runs the approximate monitor and polls its resident-bytes high-water.
-fn stream_approx(
-    reference: &TimedTrace<Evt>,
-    stream: &[(Evt, Time)],
-    classes: &ClassMap<Evt>,
-) -> (Result<Witness, RelationError<Evt>>, usize) {
-    let mut m = ApproxEps::new(reference, EPS, GRAIN, classes);
-    let mut high = m.memory_bytes();
-    for (i, (a, t)) in stream.iter().enumerate() {
-        m.observe(a, *t);
-        if i % 4096 == 0 {
-            high = high.max(m.memory_bytes());
-        }
-    }
-    high = high.max(m.memory_bytes());
-    let verdict = match m.finish() {
-        Ok(w) => {
-            assert_eq!(w.err, GRAIN);
-            Ok(w.witness)
-        }
-        Err(v) => {
-            assert_eq!(v.err, GRAIN);
-            Err(v.error)
-        }
-    };
-    (verdict, high)
-}
-
-/// What the exact monitors keep resident: the reference entries, their
+/// What both pipelines keep resident: the reference entries, their
 /// string payloads, and one lane index per reference event.
 fn exact_resident_bytes(reference: &TimedTrace<Evt>) -> usize {
     let entries = reference.len() * std::mem::size_of::<(Evt, Time)>();
@@ -182,45 +148,18 @@ fn assert_verdicts(
     reference: &TimedTrace<Evt>,
     stream_events: &[(Evt, Time)],
     classes: &ClassMap<Evt>,
-    approx_verdict: &Result<Witness, RelationError<Evt>>,
 ) {
     let offline = posthoc_exact(reference, stream_events, classes).expect("clean trace accepted");
     let exact = stream_exact(reference, stream_events, classes).expect("clean trace accepted");
     assert_eq!(exact, offline, "streaming and offline witnesses differ");
-    let approx = approx_verdict
-        .as_ref()
-        .expect("clean trace accepted approximately");
-    let gap = if approx.max_deviation > exact.max_deviation {
-        approx.max_deviation - exact.max_deviation
-    } else {
-        exact.max_deviation - approx.max_deviation
-    };
-    assert!(
-        gap < GRAIN,
-        "approximate witness {approx:?} outside ±err of exact {exact:?}"
-    );
-    assert_eq!(approx.matched, exact.matched);
 
-    // A planted violation (last event pushed ε + 2·err late) is rejected
-    // by every pipeline, and the approximate rejection survives the
-    // tightened bound — the reject half of the ±err contract.
+    // A planted violation (last event pushed ε + 2 ms late) is rejected
+    // by both pipelines.
     let mut bad = stream_events.to_vec();
     let last = bad.last_mut().expect("non-empty stream");
-    last.1 = last.1 + EPS + GRAIN + GRAIN;
-    assert!(matches!(
-        stream_approx(reference, &bad, classes).0,
-        Err(RelationError::TimeBound { .. })
-    ));
+    last.1 = last.1 + EPS + Duration::from_millis(2);
     assert!(stream_exact(reference, &bad, classes).is_err());
     assert!(posthoc_exact(reference, &bad, classes).is_err());
-    let mut tightened = StreamingEps::new(reference, EPS - GRAIN, classes);
-    for (a, t) in &bad {
-        tightened.observe(a, *t);
-    }
-    assert!(
-        tightened.finish().is_err(),
-        "approx rejected but exact accepts at ε − err"
-    );
 }
 
 fn bench_monitor_throughput(c: &mut Criterion) {
@@ -236,11 +175,6 @@ fn bench_monitor_throughput(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("stream_exact", n), &n, |b, _| {
         b.iter(|| black_box(stream_exact(&reference_trace, &events, &classes)));
     });
-    group.bench_with_input(BenchmarkId::new("stream_approx", n), &n, |b, _| {
-        b.iter(|| {
-            let _ = black_box(stream_approx(&reference_trace, &events, &classes));
-        });
-    });
     group.finish();
     write_artifact(&classes);
 }
@@ -250,22 +184,17 @@ fn write_artifact(classes: &ClassMap<Evt>) {
     let runs = if smoke { 3 } else { 5 };
     let host_parallelism = std::thread::available_parallelism().map_or(1, usize::from);
     let mut entries = Vec::new();
-    let mut peak: Option<(f64, f64)> = None; // (posthoc ms, approx ms) at max n
+    let mut peak: Option<(f64, f64)> = None; // (posthoc ms, stream ms) at max n
     for n in lengths() {
         let reference_trace = reference(n);
         let events = stream(n);
-        let (approx_verdict, approx_mem) = stream_approx(&reference_trace, &events, classes);
-        assert_verdicts(&reference_trace, &events, classes, &approx_verdict);
+        assert_verdicts(&reference_trace, &events, classes);
         let exact_mem = exact_resident_bytes(&reference_trace);
-        assert!(
-            approx_mem * 20 < exact_mem,
-            "approximate working set {approx_mem} B is not ≥ 20× under the exact {exact_mem} B"
-        );
-        let mut record = |mode: &str, ms: f64, mem: usize| {
+        let mut record = |mode: &str, ms: f64| {
             let events_per_sec = (n as f64 / (ms / 1e3)) as u64;
             entries.push(format!(
                 "    {{\"events\": {n}, \"mode\": \"{mode}\", \"median_ms\": {ms:.3}, \
-                 \"events_per_sec\": {events_per_sec}, \"memory_bytes\": {mem}}}"
+                 \"events_per_sec\": {events_per_sec}, \"memory_bytes\": {exact_mem}}}"
             ));
             ms
         };
@@ -274,32 +203,22 @@ fn write_artifact(classes: &ClassMap<Evt>) {
             median_ms(runs, || {
                 black_box(posthoc_exact(&reference_trace, &events, classes)).ok();
             }),
-            exact_mem,
         );
-        record(
+        let stream_ms = record(
             "stream_exact",
             median_ms(runs, || {
                 black_box(stream_exact(&reference_trace, &events, classes)).ok();
             }),
-            exact_mem,
         );
-        let approx_ms = record(
-            "stream_approx",
-            median_ms(runs, || {
-                let _ = black_box(stream_approx(&reference_trace, &events, classes));
-            }),
-            approx_mem,
-        );
-        peak = Some((posthoc_ms, approx_ms));
+        peak = Some((posthoc_ms, stream_ms));
     }
-    let (posthoc_ms, approx_ms) = peak.expect("at least one length");
-    let speedup = posthoc_ms / approx_ms;
+    let (posthoc_ms, stream_ms) = peak.expect("at least one length");
+    let speedup = posthoc_ms / stream_ms;
     let json = format!(
         "{{\n  \"bench\": \"monitor_throughput\",\n  \"smoke\": {smoke},\n  \
-         \"host_parallelism\": {host_parallelism},\n  \"eps_ns\": {},\n  \"grain_ns\": {},\n  \
-         \"speedup_approx_vs_posthoc_at_peak\": {speedup:.2},\n  \"runs\": [\n{}\n  ]\n}}\n",
+         \"host_parallelism\": {host_parallelism},\n  \"eps_ns\": {},\n  \
+         \"speedup_stream_vs_posthoc_at_peak\": {speedup:.2},\n  \"runs\": [\n{}\n  ]\n}}\n",
         EPS.as_nanos(),
-        GRAIN.as_nanos(),
         entries.join(",\n")
     );
     let path = std::env::var("PSYNC_BENCH_OUT").unwrap_or_else(|_| {
@@ -312,7 +231,7 @@ fn write_artifact(classes: &ClassMap<Evt>) {
     if !smoke {
         assert!(
             speedup >= 3.0,
-            "approximate judging is only {speedup:.2}× the exact post-hoc mode at 10⁶ events"
+            "streaming judging is only {speedup:.2}× the post-hoc mode at 10⁶ events"
         );
     }
 }

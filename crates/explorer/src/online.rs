@@ -4,13 +4,15 @@
 //! moment any oracle declares a violation certain — judging cost scales
 //! with the distance to the first violation instead of the horizon.
 //!
-//! Three [`StreamOracle`]s mirror the heartbeat family's post-hoc
-//! oracles byte-for-byte (same names, same messages):
+//! The heartbeat family's three safety properties are written once, in
+//! [`StreamOracle`] form; `heartbeat_oracles` judges a recorded
+//! execution by folding these same oracles over its events
+//! ([`psync_verify::FoldOracle`]), so the two modes cannot disagree on
+//! a name or a message:
 //!
 //! * `EnvelopeStream` — the `[d₁, d₂]` delivery envelope plus the
 //!   plan's drop/duplicate ledger ("delivery envelope").
-//! * `FifoStream` — per-edge FIFO first-delivery order ("fifo order"),
-//!   the incremental form of [`psync_verify::check_fifo_per_edge`].
+//! * [`FifoStream`] — per-edge FIFO first-delivery order ("fifo order").
 //! * `FdStream` — per-pair failure-detector accuracy and completeness
 //!   ("failure detector"). Accuracy violations are certain the instant
 //!   the offending suspicion (or its absence past the detection bound)
@@ -18,17 +20,15 @@
 //!   becomes certain mid-run once the bound has silently expired —
 //!   every continuation then violates either completeness or the bound.
 //!
-//! The parity contract (pinned by this module's tests): a run driven to
-//! its natural stop without short-circuiting yields exactly the
-//! verdicts the post-hoc oracles of the same names produce on the
-//! recorded execution. A short-circuited run instead reports the single
-//! certain violation; its message describes the truncated prefix, which
-//! is precisely what a failing case's artifact wants. The Lemma 2.1
-//! replay oracles stay post-hoc only — replay is a whole-execution
-//! property with no incremental form, and a certain safety violation
-//! makes a replay verdict moot.
-
-use std::collections::{BTreeMap, BTreeSet};
+//! What the two modes can still differ in is where the event indices
+//! come from (engine observer hooks here, the recorded slice post-hoc);
+//! this module's tests pin that an attached judge driven to the natural
+//! stop finishes to exactly the post-hoc verdicts. A short-circuited
+//! run instead reports the single certain violation; its message
+//! describes the truncated prefix, which is precisely what a failing
+//! case's artifact wants. The Lemma 2.1 replay oracles stay post-hoc
+//! only — replay is a whole-execution property with no incremental
+//! form, and a certain safety violation makes a replay verdict moot.
 
 use psync_apps::heartbeat::{FdAction, FdOp};
 use psync_automata::{TimedEvent, Verdict};
@@ -36,7 +36,7 @@ use psync_executor::StopReason;
 use psync_net::SysAction;
 use psync_obs::{monitor_snapshot, OnlineJudge};
 use psync_time::{DelayBounds, Duration, Time};
-use psync_verify::StreamOracle;
+use psync_verify::{FifoStream, StreamOracle};
 
 use crate::faults::seq_of;
 use crate::plan::{at_ns, ns, FaultEntry, FaultPlan};
@@ -52,10 +52,10 @@ use crate::scenario::{
 /// noise (a pause is just an early return from the step loop).
 const ONLINE_CHUNK: usize = 32;
 
-/// Streaming form of the "delivery envelope" oracle: every `Recv` must
-/// match a prior `Send`, land inside the declared `[d₁, d₂]` window,
-/// not resurrect a planned drop, and not exceed its duplicate budget.
-/// Every violation here is existential, hence certain on sight.
+/// The "delivery envelope" oracle: every `Recv` must match a prior
+/// `Send`, land inside the declared `[d₁, d₂]` window, not resurrect a
+/// planned drop, and not exceed its duplicate budget. Every violation
+/// here is existential, hence certain on sight.
 struct EnvelopeStream {
     declared: DelayBounds,
     dropped: Vec<(u32, u32, u32)>,
@@ -111,6 +111,10 @@ impl StreamOracle<FdAction> for EnvelopeStream {
                     .iter()
                     .find(|(id, _)| *id == env.id.0)
                     .map_or(0, |(_, n)| *n);
+                // Only a *planned* duplicate may arrive twice: a
+                // channel that duplicates on its own (the
+                // duplicate-delivery canary) is exactly what this
+                // oracle exists to catch.
                 let allowed = if self.duplicated.contains(&edge_seq) {
                     2
                 } else {
@@ -138,71 +142,16 @@ impl StreamOracle<FdAction> for EnvelopeStream {
     }
 }
 
-/// Streaming form of [`psync_verify::check_fifo_per_edge`]: on each
-/// `(src, dst)` edge a never-before-seen sequence number must not
-/// surface after a higher one already has; re-deliveries of seen
-/// sequence numbers (duplicates) are always admissible.
-struct FifoStream {
-    edges: BTreeMap<(usize, usize), (u32, BTreeSet<u32>)>,
-    violation: Option<String>,
-}
-
-impl StreamOracle<FdAction> for FifoStream {
-    fn name(&self) -> String {
-        "fifo order".to_string()
-    }
-
-    fn observe_event(&mut self, _i: usize, e: &TimedEvent<FdAction>) {
-        if self.violation.is_some() {
-            return;
-        }
-        let SysAction::Recv(env) = &e.action else {
-            return;
-        };
-        let seq = (env.id.0 & 0xffff_ffff) as u32;
-        let (max_seen, seen) = self
-            .edges
-            .entry((env.src.0, env.dst.0))
-            .or_insert_with(|| (0, BTreeSet::new()));
-        if seen.contains(&seq) {
-            return;
-        }
-        if !seen.is_empty() && seq < *max_seen {
-            self.violation = Some(format!(
-                "FIFO violation on {}->{}: first delivery of seq {} at {} \
-                 after seq {} was already delivered",
-                env.src, env.dst, seq, e.now, max_seen
-            ));
-            return;
-        }
-        *max_seen = seq.max(*max_seen);
-        seen.insert(seq);
-    }
-
-    fn violation(&self) -> Option<String> {
-        self.violation.clone()
-    }
-
-    fn finish(&mut self, _end: Time) -> Verdict {
-        match &self.violation {
-            Some(why) => Verdict::Violated(why.clone()),
-            None => Verdict::Holds,
-        }
-    }
-}
-
-/// Streaming form of the "failure detector" oracle: per monitored pair,
-/// the first crash of the target and the first suspicion by the monitor
-/// decide accuracy (no false or late suspicions) and completeness (a
-/// crash inside the horizon must be suspected within the detection
-/// bound).
+/// The "failure detector" oracle: per monitored pair, the first crash
+/// of the target and the first suspicion by the monitor decide accuracy
+/// (no false or late suspicions) and completeness (a crash inside the
+/// horizon must be suspected within the detection bound).
 struct FdStream {
     /// `(monitor, target)` pairs, in the shape's order.
     pairs: Vec<(u32, u32)>,
     detection: Duration,
     /// The *configured* horizon — completeness judges against it, not
-    /// against wherever the run actually stopped, matching the post-hoc
-    /// oracle.
+    /// against wherever the run actually stopped.
     horizon: Time,
     /// Per pair: first crash of the target, first suspicion by the
     /// monitor.
@@ -212,7 +161,7 @@ struct FdStream {
 }
 
 impl FdStream {
-    /// The post-hoc verdict for pair `k` from what has been observed so
+    /// The accuracy verdict for pair `k` from what has been observed so
     /// far; `None` = nothing wrong yet.
     fn pair_verdict(&self, k: usize) -> Option<String> {
         let (m, t) = self.pairs[k];
@@ -309,10 +258,11 @@ impl StreamOracle<FdAction> for FdStream {
     }
 }
 
-/// The heartbeat family's stream-oracle set: the incremental twins of
-/// the "delivery envelope", "fifo order", and "failure detector"
-/// post-hoc oracles, in that order. The Lemma 2.1 replay oracles have
-/// no streaming form and stay post-hoc.
+/// The heartbeat family's stream-oracle set: "delivery envelope",
+/// "fifo order" and "failure detector", in that order — fed by the
+/// online judge during a run, and folded over the recorded execution by
+/// `heartbeat_oracles`. The Lemma 2.1 replay oracles have no streaming
+/// form and stay post-hoc.
 #[must_use]
 pub fn heartbeat_stream_oracles(
     cfg: &ScenarioConfig,
@@ -348,10 +298,7 @@ pub fn heartbeat_stream_oracles(
             copies: Vec::new(),
             violation: None,
         }),
-        Box::new(FifoStream {
-            edges: BTreeMap::new(),
-            violation: None,
-        }),
+        Box::new(FifoStream::new("fifo order")),
         Box::new(FdStream {
             observed: vec![(None, None); shape.monitors.len()],
             pairs: shape.monitors,
@@ -367,8 +314,8 @@ pub fn heartbeat_stream_oracles(
 /// and stopping the engine the moment a violation is certain. A
 /// short-circuited case reports that single certain violation (and
 /// bumps `monitor.short_circuits`); a case that reaches its natural
-/// stop reports the full stream verdicts, which match the post-hoc
-/// oracles of the same names byte-for-byte.
+/// stop reports the full stream verdicts — those of the post-hoc
+/// oracles of the same names.
 ///
 /// # Panics
 ///
@@ -426,47 +373,10 @@ mod tests {
     use crate::scenario::{heartbeat_oracles, run_heartbeat};
     use psync_verify::check_all;
 
-    /// Feeds a recorded execution through fresh stream oracles — the
-    /// post-hoc half of the parity harness.
-    fn stream_posthoc(
-        cfg: &ScenarioConfig,
-        plan: &FaultPlan,
-        run: &Judged<FdAction>,
-    ) -> Vec<(String, String)> {
-        let mut oracles = heartbeat_stream_oracles(cfg, plan);
-        let exec = &run.run.as_ref().expect("run succeeded").execution;
-        for (i, e) in exec.events().iter().enumerate() {
-            for oracle in &mut oracles {
-                oracle.observe_event(i, e);
-            }
-        }
-        let mut violations = Vec::new();
-        for oracle in &mut oracles {
-            if let Verdict::Violated(why) = oracle.finish(at_ns(cfg.horizon_ns)) {
-                violations.push((oracle.name(), why));
-            }
-        }
-        violations
-    }
-
-    /// Post-hoc verdicts of the three oracles the stream set mirrors.
-    fn posthoc_streamable(
-        cfg: &ScenarioConfig,
-        plan: &FaultPlan,
-        run: &Judged<FdAction>,
-    ) -> Vec<(String, String)> {
-        let streamed = ["delivery envelope", "fifo order", "failure detector"];
-        let exec = &run.run.as_ref().expect("run succeeded").execution;
-        check_all(&heartbeat_oracles(cfg, plan), exec)
-            .into_iter()
-            .filter(|(name, _)| streamed.contains(&name.as_str()))
-            .collect()
-    }
-
     #[test]
     fn stream_oracles_match_posthoc_on_clean_and_failing_runs() {
         // Clean runs across the family's topologies, then planted bugs
-        // that trip each stream oracle: a widened delay (envelope), the
+        // aimed at each stream oracle: a widened delay (envelope), the
         // LIFO-healing relay (fifo), and an underbudgeted timeout with a
         // crash (failure detector).
         let mut cases: Vec<ScenarioConfig> = vec![
@@ -488,13 +398,39 @@ mod tests {
             canary: Some(CanaryKind::FdTimeoutUnderbudget),
             ..ScenarioConfig::default_for(ScenarioKind::HeartbeatGray)
         });
+        // Under the empty plan only the relay canary of those three
+        // fires (the other two need a delay or drop entry to bite), and
+        // its message carries no event index; the self-duplicating
+        // channel trips the envelope, whose message does.
+        cases.push(ScenarioConfig {
+            canary: Some(CanaryKind::DuplicateDelivery),
+            ..ScenarioConfig::default_for(ScenarioKind::Heartbeat)
+        });
         let plan = FaultPlan::default();
+        let mut indexed = 0;
         for cfg in &cases {
-            let run = run_heartbeat(cfg, &plan, 7);
-            let streamed = stream_posthoc(cfg, &plan, &run);
-            let posthoc = posthoc_streamable(cfg, &plan, &run);
-            assert_eq!(streamed, posthoc, "parity broke for {:?}", cfg.kind);
+            // Online: the oracles see events through the engine's
+            // observer hooks; no `certain()` polling, so the run reaches
+            // its natural stop.
+            let streams = heartbeat_stream_oracles(cfg, &plan);
+            let streamable: Vec<String> = streams.iter().map(|s| s.name()).collect();
+            let judge = OnlineJudge::new(streams);
+            let mut built = build_heartbeat_with(cfg, &plan, 7, Some(&judge));
+            let run = built.engine.run().expect("run succeeded");
+            let online = judge.finish(at_ns(cfg.horizon_ns));
+            // Post-hoc: the same oracles folded over the recorded slice.
+            let posthoc: Vec<(String, String)> =
+                check_all(&heartbeat_oracles(cfg, &plan), &run.execution)
+                    .into_iter()
+                    .filter(|(name, _)| streamable.contains(name))
+                    .collect();
+            assert_eq!(online, posthoc, "indices drifted for {:?}", cfg.kind);
+            indexed += online
+                .iter()
+                .filter(|(_, why)| why.starts_with("event "))
+                .count();
         }
+        assert!(indexed > 0, "no verdict compared carried an event index");
     }
 
     #[test]

@@ -80,8 +80,7 @@ use psync_sync::{
 use psync_time::{DelayBounds, Duration, Time};
 use psync_verify::replay::{replay_clock, replay_timed};
 use psync_verify::{
-    check_fifo_per_edge, FnOracle, LinearizableRegister, ObjectLinearizableOracle, Oracle,
-    ProblemOracle,
+    FnOracle, FoldOracle, LinearizableRegister, ObjectLinearizableOracle, Oracle, ProblemOracle,
 };
 
 use crate::canary::CanaryKind;
@@ -89,7 +88,8 @@ use crate::faults::{
     scripted_clock_for, seq_of, BiasedScheduler, PlanChannelFault, PlanDelayPolicy,
 };
 use crate::json::Json;
-use crate::plan::{at_ns, ns, FaultEntry, FaultEnvelope, FaultPlan};
+use crate::online::heartbeat_stream_oracles;
+use crate::plan::{at_ns, ns, FaultEnvelope, FaultPlan};
 
 /// Which system a case runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1131,145 +1131,27 @@ pub fn run_heartbeat_restart(
 }
 
 /// The heartbeat family's oracle set (shared with conformance-style
-/// sweeps via the [`Oracle`] trait).
+/// sweeps via the [`Oracle`] trait): the three stream oracles of
+/// [`heartbeat_stream_oracles`] folded over the recorded execution, then
+/// the Lemma 2.1 replays.
 #[must_use]
-#[allow(clippy::too_many_lines)]
 pub fn heartbeat_oracles(cfg: &ScenarioConfig, plan: &FaultPlan) -> Vec<Box<dyn Oracle<FdAction>>> {
+    let mut oracles: Vec<Box<dyn Oracle<FdAction>>> = heartbeat_stream_oracles(cfg, plan)
+        .iter()
+        .enumerate()
+        .map(|(k, stream)| {
+            // Each check rebuilds the set and keeps entry `k`: building
+            // is one scan of the plan, and it keeps this list and the
+            // online judge's on one constructor.
+            let (cfg, plan) = (cfg.clone(), plan.clone());
+            Box::new(FoldOracle::new(stream.name(), move || {
+                heartbeat_stream_oracles(&cfg, &plan).swap_remove(k)
+            })) as Box<dyn Oracle<FdAction>>
+        })
+        .collect();
+
     let shape = hb_shape(cfg.kind);
-    let declared = cfg.bounds();
-    let dropped: Vec<(u32, u32, u32)> = plan
-        .entries
-        .iter()
-        .filter_map(|e| match *e {
-            FaultEntry::Drop { src, dst, seq } => Some((src, dst, seq)),
-            _ => None,
-        })
-        .collect();
-    let duplicated: Vec<(u32, u32, u32)> = plan
-        .entries
-        .iter()
-        .filter_map(|e| match *e {
-            FaultEntry::Duplicate { src, dst, seq, .. } => Some((src, dst, seq)),
-            _ => None,
-        })
-        .collect();
-
-    let envelope = FnOracle::new("delivery envelope", move |exec: &Execution<FdAction>| {
-        let mut sends: Vec<(u64, Time)> = Vec::new();
-        let mut copies: Vec<(u64, u32)> = Vec::new();
-        for (i, e) in exec.events().iter().enumerate() {
-            match &e.action {
-                SysAction::Send(env) => sends.push((env.id.0, e.now)),
-                SysAction::Recv(env) => {
-                    let Some((_, sent)) = sends.iter().find(|(id, _)| *id == env.id.0) else {
-                        return Verdict::violated(format!(
-                            "event {i}: received message {} that was never sent",
-                            env.id.0
-                        ));
-                    };
-                    let latency = e.now - *sent;
-                    if latency < declared.min() || latency > declared.max() {
-                        return Verdict::violated(format!(
-                            "event {i}: message {} delivered after {latency}, outside [{}, {}]",
-                            env.id.0,
-                            declared.min(),
-                            declared.max()
-                        ));
-                    }
-                    let seq = seq_of(env.id);
-                    let edge_seq = (env.src.0 as u32, env.dst.0 as u32, seq);
-                    if dropped.contains(&edge_seq) {
-                        return Verdict::violated(format!(
-                            "event {i}: message {seq} was delivered despite a planned drop"
-                        ));
-                    }
-                    match copies.iter_mut().find(|(id, _)| *id == env.id.0) {
-                        Some((_, n)) => *n += 1,
-                        None => copies.push((env.id.0, 1)),
-                    }
-                    let n = copies
-                        .iter()
-                        .find(|(id, _)| *id == env.id.0)
-                        .map_or(0, |(_, n)| *n);
-                    // Only a *planned* duplicate may arrive twice: a
-                    // channel that duplicates on its own (the
-                    // duplicate-delivery canary) is exactly what this
-                    // oracle exists to catch.
-                    let allowed = if duplicated.contains(&edge_seq) { 2 } else { 1 };
-                    if n > allowed {
-                        return Verdict::violated(format!(
-                            "event {i}: message {seq} delivered {n} times (plan allows {allowed})"
-                        ));
-                    }
-                }
-                _ => {}
-            }
-        }
-        Verdict::Holds
-    });
-
-    let fifo = FnOracle::new("fifo order", |exec: &Execution<FdAction>| {
-        check_fifo_per_edge(exec)
-    });
-
-    let relayed = shape.relay.is_some();
-    let params = monitor_params(cfg, relayed);
-    let hops = if relayed { 2 } else { 1 };
-    let detection = ns(cfg.d2_ns) * hops + params.timeout + Duration::from_millis(1);
-    let horizon = at_ns(cfg.horizon_ns);
-    let pairs = shape.monitors.clone();
-    let fd = FnOracle::new("failure detector", move |exec: &Execution<FdAction>| {
-        for &(m, t) in &pairs {
-            let mut crashed_at: Option<Time> = None;
-            let mut suspected_at: Option<Time> = None;
-            for e in exec.events() {
-                match &e.action {
-                    SysAction::App(FdOp::Crash { node })
-                        if node.0 == t as usize && crashed_at.is_none() =>
-                    {
-                        crashed_at = Some(e.now);
-                    }
-                    SysAction::App(FdOp::Suspect { monitor, target })
-                        if monitor.0 == m as usize
-                            && target.0 == t as usize
-                            && suspected_at.is_none() =>
-                    {
-                        suspected_at = Some(e.now);
-                    }
-                    _ => {}
-                }
-            }
-            match (crashed_at, suspected_at) {
-                (None, Some(s)) => {
-                    return Verdict::violated(format!(
-                        "monitor {m}: false suspicion of {t} at {s} (no crash ever happened)"
-                    ))
-                }
-                (Some(c), Some(s)) if s < c => {
-                    return Verdict::violated(format!(
-                        "monitor {m}: false suspicion of {t} at {s}, before the crash at {c}"
-                    ))
-                }
-                (Some(c), Some(s)) if s - c > detection => {
-                    return Verdict::violated(format!(
-                        "monitor {m}: suspicion at {s} exceeds the detection bound {detection} \
-                         after the crash at {c}"
-                    ))
-                }
-                (Some(c), None) if c + detection < horizon => {
-                    return Verdict::violated(format!(
-                        "monitor {m}: crash of {t} at {c} never suspected within {detection} \
-                         (completeness)"
-                    ))
-                }
-                _ => {}
-            }
-        }
-        Verdict::Holds
-    });
-
-    let mut oracles: Vec<Box<dyn Oracle<FdAction>>> =
-        vec![Box::new(envelope), Box::new(fifo), Box::new(fd)];
+    let params = monitor_params(cfg, shape.relay.is_some());
     for &(node, target) in &shape.monitors {
         oracles.push(Box::new(FnOracle::new(
             format!("replay(monitor {node})"),

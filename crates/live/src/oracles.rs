@@ -8,21 +8,33 @@
 //! `replay(workload)` oracle has no live analogue — the workload is the
 //! load generator, not a component in the composition.)
 
-use psync_automata::Execution;
-use psync_automata::Verdict;
+use psync_automata::{Action, Execution, Verdict};
 use psync_core::app_trace;
 use psync_net::SysAction;
 use psync_obs::CEpsOracle;
 use psync_register::{RegAction, Value};
 use psync_time::{DelayBounds, Duration};
-use psync_verify::{check_fifo_per_edge, FnOracle, LinearizableRegister, Oracle, ProblemOracle};
+use psync_verify::{
+    check_all, FifoStream, FoldOracle, LinearizableRegister, Oracle, ProblemOracle, StreamOracle,
+};
 
 use crate::monitor::{envelope_oracle_name, EnvelopeStream};
-use psync_automata::Action;
-use psync_verify::StreamOracle;
 
-/// Sweeps a recorded execution through the delivery-envelope check:
-/// every `ERECVMSG` between `d₁` and `d₂` after its `ESENDMSG`.
+/// The delivery-envelope check — every `ERECVMSG` between `d₁` and `d₂`
+/// after its `ESENDMSG` — as a post-hoc oracle: the monitor's
+/// [`EnvelopeStream`] folded over the recorded execution.
+fn delivery_envelope<M, O>(bounds: DelayBounds) -> FoldOracle<SysAction<M, O>>
+where
+    M: Clone + Eq + std::hash::Hash + core::fmt::Debug + 'static,
+    O: Action,
+{
+    FoldOracle::new(
+        envelope_oracle_name(bounds.min(), bounds.max()),
+        move || Box::new(EnvelopeStream::new(bounds.min(), bounds.max())),
+    )
+}
+
+/// Sweeps a recorded execution through the delivery-envelope check.
 pub fn check_delivery_envelope<M, O>(
     exec: &Execution<SysAction<M, O>>,
     bounds: DelayBounds,
@@ -31,11 +43,7 @@ where
     M: Clone + Eq + std::hash::Hash + core::fmt::Debug + 'static,
     O: Action,
 {
-    let mut stream = EnvelopeStream::new(bounds.min(), bounds.max());
-    for (i, event) in exec.events().iter().enumerate() {
-        StreamOracle::<SysAction<M, O>>::observe_event(&mut stream, i, event);
-    }
-    StreamOracle::<SysAction<M, O>>::finish(&mut stream, exec.ltime())
+    delivery_envelope(bounds).check(exec)
 }
 
 /// The oracle set a captured live register run must satisfy.
@@ -56,11 +64,10 @@ pub fn live_register_oracles(
             app_trace,
         )),
         Box::new(CEpsOracle::new(eps_hat)),
-        Box::new(FnOracle::new("fifo per edge", check_fifo_per_edge)),
-        Box::new(FnOracle::new(
-            envelope_oracle_name(bounds.min(), bounds.max()),
-            move |exec: &Execution<RegAction>| check_delivery_envelope(exec, bounds),
-        )),
+        Box::new(FoldOracle::new("fifo per edge", || {
+            Box::new(FifoStream::new("fifo per edge"))
+        })),
+        Box::new(delivery_envelope(bounds)),
     ]
 }
 
@@ -88,14 +95,7 @@ pub fn judge_live_register(
     eps_hat: Duration,
     bounds: DelayBounds,
 ) -> Vec<(String, String)> {
-    let oracles = live_register_oracles(n, eps_hat, bounds);
-    let mut violations = Vec::new();
-    for oracle in &oracles {
-        if let Verdict::Violated(why) = oracle.check(exec) {
-            violations.push((oracle.name(), why));
-        }
-    }
-    violations
+    check_all(&live_register_oracles(n, eps_hat, bounds), exec)
 }
 
 #[cfg(test)]

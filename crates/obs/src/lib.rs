@@ -11,12 +11,9 @@
 //!   [`CEpsMonitor`] for the `C_ε` clock-accuracy predicate.
 //! - [`monitor`] — streaming monitors for the paper's trace relations
 //!   `=_{ε,κ}` and `≤_{δ,K}`, verdict-equivalent to the offline matchers
-//!   in [`psync_automata::relations`] but with memory bounded by the
-//!   reference trace, and [`psync_verify::Oracle`] adapters for both.
-//! - [`approx`] — bounded-memory *approximate* variants of the same
-//!   monitors: times coarsened to a grain-sized lattice, lanes run-length
-//!   compressed into buckets, every verdict carrying a quantified `±err`
-//!   interval.
+//!   in [`psync_automata::relations`] (the reference
+//!   `tests/prop_monitors.rs` holds them to) but with memory bounded by
+//!   the reference trace.
 //! - [`shard`] — deterministic parallel judging: [`check_all_sharded`]
 //!   fans a slice of oracles across a scoped thread pool, merging
 //!   results in a fixed order so verdicts and metrics are bit-identical
@@ -24,7 +21,10 @@
 //! - [`online`] — [`OnlineJudge`], an [`psync_executor::Observer`] that
 //!   feeds events to [`psync_verify::StreamOracle`]s *during* the run and
 //!   exposes a handle for short-circuiting the moment a violation is
-//!   certain.
+//!   certain. A property with a stream form is written once, in that
+//!   form; judging it post-hoc is [`psync_verify::FoldOracle`] folding
+//!   the same oracle over the recorded events, not a second
+//!   implementation.
 //!
 //! Everything here is an *observer* in the strict sense: attaching any of
 //! these to an [`Engine`](psync_executor::Engine) or
@@ -36,16 +36,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod approx;
 pub mod metrics;
 pub mod monitor;
 pub mod observe;
 pub mod online;
 pub mod shard;
 
-pub use approx::{ApproxDelta, ApproxEps, ApproxViolation, ApproxWitness, StableFnv};
 pub use metrics::{CounterId, Histogram, HistogramId, MetricsSnapshot, Registry};
-pub use monitor::{DeltaTraceOracle, EpsTraceOracle, StreamingDelta, StreamingEps};
+pub use monitor::{StreamingDelta, StreamingEps};
 pub use observe::{
     CEpsMonitor, CEpsOracle, ChannelDelayObserver, EngineMetrics, MetricsHub, ADVANCE_NS_BOUNDS,
     DELAY_NS_BOUNDS, DRIFT_NS_BOUNDS, QUEUE_DEPTH_BOUNDS,

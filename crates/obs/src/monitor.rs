@@ -24,9 +24,8 @@
 //! differentially on proptest-generated traces.
 
 use psync_automata::relations::{ClassMap, RelationError, Witness};
-use psync_automata::{Action, Execution, TimedTrace, Verdict};
+use psync_automata::{Action, TimedTrace};
 use psync_time::{Duration, Time};
-use psync_verify::Oracle;
 
 /// One forced-matching lane: the reference indices of a class (or of one
 /// unclassified action value) and how far the observed stream has consumed
@@ -389,124 +388,6 @@ impl<'a, A: Action> StreamingDelta<'a, A> {
             max_deviation: self.max_dev,
             matched: self.matched,
         })
-    }
-}
-
-/// A boxed trace extractor, defaulting to [`Execution::t_trace`].
-type ExtractFn<A> = Box<dyn Fn(&Execution<A>) -> TimedTrace<A> + Send + Sync>;
-
-/// An [`Oracle`] wrapping [`StreamingEps`]: an execution holds iff its
-/// extracted trace is `=_{ε,κ}` the stored reference trace. Conformance
-/// sweeps and explorer campaigns consume it like any other oracle.
-pub struct EpsTraceOracle<A: Action> {
-    name: String,
-    reference: TimedTrace<A>,
-    eps: Duration,
-    classes: ClassMap<A>,
-    extract: ExtractFn<A>,
-}
-
-impl<A: Action> EpsTraceOracle<A> {
-    /// Judges `reference =_{ε,κ} t_trace(execution)`.
-    #[must_use]
-    pub fn new(
-        name: impl Into<String>,
-        reference: TimedTrace<A>,
-        eps: Duration,
-        classes: ClassMap<A>,
-    ) -> Self {
-        EpsTraceOracle {
-            name: name.into(),
-            reference,
-            eps,
-            classes,
-            extract: Box::new(|e| e.t_trace()),
-        }
-    }
-
-    /// Replaces the trace extractor (default [`Execution::t_trace`]).
-    #[must_use]
-    pub fn with_extractor(
-        mut self,
-        extract: impl Fn(&Execution<A>) -> TimedTrace<A> + Send + Sync + 'static,
-    ) -> Self {
-        self.extract = Box::new(extract);
-        self
-    }
-}
-
-impl<A: Action + Send + Sync> Oracle<A> for EpsTraceOracle<A> {
-    fn name(&self) -> String {
-        self.name.clone()
-    }
-
-    fn check(&self, exec: &Execution<A>) -> Verdict {
-        let observed = (self.extract)(exec);
-        let mut monitor = StreamingEps::new(&self.reference, self.eps, &self.classes);
-        for (a, t) in observed.iter() {
-            monitor.observe(a, t);
-        }
-        match monitor.finish() {
-            Ok(_) => Verdict::Holds,
-            Err(e) => Verdict::violated(e),
-        }
-    }
-}
-
-/// An [`Oracle`] wrapping [`StreamingDelta`]: an execution holds iff the
-/// stored reference trace is `≤_{δ,K}` its extracted trace.
-pub struct DeltaTraceOracle<A: Action> {
-    name: String,
-    reference: TimedTrace<A>,
-    delta: Duration,
-    classes: ClassMap<A>,
-    extract: ExtractFn<A>,
-}
-
-impl<A: Action> DeltaTraceOracle<A> {
-    /// Judges `reference ≤_{δ,K} t_trace(execution)`.
-    #[must_use]
-    pub fn new(
-        name: impl Into<String>,
-        reference: TimedTrace<A>,
-        delta: Duration,
-        classes: ClassMap<A>,
-    ) -> Self {
-        DeltaTraceOracle {
-            name: name.into(),
-            reference,
-            delta,
-            classes,
-            extract: Box::new(|e| e.t_trace()),
-        }
-    }
-
-    /// Replaces the trace extractor (default [`Execution::t_trace`]).
-    #[must_use]
-    pub fn with_extractor(
-        mut self,
-        extract: impl Fn(&Execution<A>) -> TimedTrace<A> + Send + Sync + 'static,
-    ) -> Self {
-        self.extract = Box::new(extract);
-        self
-    }
-}
-
-impl<A: Action + Send + Sync> Oracle<A> for DeltaTraceOracle<A> {
-    fn name(&self) -> String {
-        self.name.clone()
-    }
-
-    fn check(&self, exec: &Execution<A>) -> Verdict {
-        let observed = (self.extract)(exec);
-        let mut monitor = StreamingDelta::new(&self.reference, self.delta, &self.classes);
-        for (a, t) in observed.iter() {
-            monitor.observe(a, t);
-        }
-        match monitor.finish() {
-            Ok(_) => Verdict::Holds,
-            Err(e) => Verdict::violated(e),
-        }
     }
 }
 

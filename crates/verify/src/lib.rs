@@ -30,7 +30,9 @@
 //! * [`Oracle`] — a named check over a recorded *execution* (rather than
 //!   a trace), the checker currency shared by `Conformance::sweep_oracles`
 //!   and the `psync-explorer` fault-injection campaigns; [`ProblemOracle`]
-//!   adapts any [`Problem`](psync_automata::Problem) into one.
+//!   adapts any [`Problem`](psync_automata::Problem) into one, and
+//!   [`FoldOracle`] any [`StreamOracle`] (the incremental form a check is
+//!   written in when it has one, so online and post-hoc judging share it).
 //! * [`replay`] — Lemma 2.1 operationalized: re-runs the projection of a
 //!   recorded execution against a fresh copy of one component, catching
 //!   engine/component disagreements.
@@ -63,4 +65,4 @@ pub use object_linearizable::{
 pub use oracle::{check_all, check_fifo_per_edge, FnOracle, Oracle, ProblemOracle};
 pub use problems::{LinearizableRegister, SuperlinearizableRegister};
 pub use sequential::check_sequentially_consistent;
-pub use stream::StreamOracle;
+pub use stream::{FifoStream, FoldOracle, StreamOracle};

@@ -12,7 +12,6 @@
 //! campaigns literally share checkers, and [`FnOracle`] wraps a closure
 //! for ad-hoc properties.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -20,6 +19,7 @@ use psync_automata::{Action, Execution, Problem, TimedTrace, Verdict};
 use psync_net::SysAction;
 
 use crate::conformance::Conformance;
+use crate::stream::{fold, FifoStream};
 
 /// A named pass/fail check over one recorded execution.
 ///
@@ -102,41 +102,14 @@ impl<A: Action> Oracle<A> for ProblemOracle<A> {
     }
 }
 
-/// Checks per-edge FIFO delivery order: on each `(src, dst)` channel, a
-/// *never-before-seen* sequence number (the low 32 bits of the message id,
-/// the `MsgId::from_parts` counter) must not surface after a higher one
-/// already has. Re-deliveries of an already-seen sequence number —
-/// duplicates — are allowed at any point, matching the paper's
-/// at-least-once channel model where FIFO constrains first deliveries
-/// only.
+/// Checks per-edge FIFO delivery order (see [`FifoStream`], of which this
+/// is the fold over a recorded execution).
 pub fn check_fifo_per_edge<M, O>(exec: &Execution<SysAction<M, O>>) -> Verdict
 where
     M: Clone + Eq + Hash + Debug + 'static,
     O: Action,
 {
-    let mut edges: BTreeMap<(usize, usize), (u32, BTreeSet<u32>)> = BTreeMap::new();
-    for e in exec.events() {
-        let SysAction::Recv(env) = &e.action else {
-            continue;
-        };
-        let seq = (env.id.0 & 0xffff_ffff) as u32;
-        let (max_seen, seen) = edges
-            .entry((env.src.0, env.dst.0))
-            .or_insert_with(|| (0, BTreeSet::new()));
-        if seen.contains(&seq) {
-            continue; // re-delivery of a duplicate, always admissible
-        }
-        if !seen.is_empty() && seq < *max_seen {
-            return Verdict::violated(format!(
-                "FIFO violation on {}->{}: first delivery of seq {} at {} \
-                 after seq {} was already delivered",
-                env.src, env.dst, seq, e.now, max_seen
-            ));
-        }
-        *max_seen = seq.max(*max_seen);
-        seen.insert(seq);
-    }
-    Verdict::Holds
+    fold(&mut FifoStream::new("fifo per edge"), exec)
 }
 
 /// Checks every oracle against one execution, returning

@@ -11,16 +11,10 @@
 //! rejected — by both evaluators), classes that occur in neither trace,
 //! and the all-one-class map `ClassMap::single()`.
 
-//! The *approximate* monitors (`ApproxEps`/`ApproxDelta`) are pinned
-//! against the exact ones under their quantified ±err contract: an
-//! approximate verdict is the exact verdict of the same traces under a
-//! bound perturbed by less than `err` (the quantization grain), never
-//! anything wilder.
-
 use proptest::prelude::*;
 use psync_automata::relations::{delta_shifted, eps_equivalent, ClassMap, RelationError, Witness};
 use psync_automata::TimedTrace;
-use psync_obs::{ApproxDelta, ApproxEps, StreamingDelta, StreamingEps};
+use psync_obs::{StreamingDelta, StreamingEps};
 use psync_time::{Duration, Time};
 
 /// Actions "a0".."c2" plus unclassified "x0".."x2": first letter = class
@@ -259,242 +253,4 @@ fn empty_class_and_unclassified_tail_edge_cases() {
         .finish()
         .unwrap();
     assert_eq!(w.matched, 0);
-}
-
-// ---------------------------------------------------------------------
-// Exact vs approximate: the ±err contract.
-//
-// `ApproxEps`/`ApproxDelta` quantize every time to a `grain` lattice, so
-// each verdict carries `err = grain` and promises to be the exact verdict
-// under a bound perturbed by less than `err`. Differentially that pins
-// down to three laws, each tested on generated traces:
-//
-// 1. an approximate rejection at bound `B` implies an exact rejection at
-//    `B − err` (the approximation never invents a violation beyond its
-//    tolerance);
-// 2. an exact acceptance at `B` implies an approximate acceptance at
-//    `B + err` (it never misses an acceptance beyond its tolerance);
-// 3. when both accept at the same bound, the witnesses' `max_deviation`
-//    differ by less than `err` and the matched counts are equal.
-//
-// Cardinality verdicts are exempt from the interval: they are exact.
-// ---------------------------------------------------------------------
-
-fn approx_eps(
-    reference: &TimedTrace<&'static str>,
-    observed: &TimedTrace<&'static str>,
-    eps: Duration,
-    grain: Duration,
-    classes: &ClassMap<&'static str>,
-) -> Result<Witness, RelationError<&'static str>> {
-    let mut m = ApproxEps::new(reference, eps, grain, classes);
-    for (a, t) in observed.iter() {
-        m.observe(a, t);
-    }
-    match m.finish() {
-        Ok(w) => {
-            assert_eq!(w.err, grain, "accept must carry err = grain");
-            Ok(w.witness)
-        }
-        Err(v) => {
-            assert_eq!(v.err, grain, "reject must carry err = grain");
-            Err(v.error)
-        }
-    }
-}
-
-fn approx_delta(
-    reference: &TimedTrace<&'static str>,
-    observed: &TimedTrace<&'static str>,
-    delta: Duration,
-    grain: Duration,
-    classes: &ClassMap<&'static str>,
-) -> Result<Witness, RelationError<&'static str>> {
-    let mut m = ApproxDelta::new(reference, delta, grain, classes);
-    for (a, t) in observed.iter() {
-        m.observe(a, t);
-    }
-    match m.finish() {
-        Ok(w) => Ok(w.witness),
-        Err(v) => Err(v.error),
-    }
-}
-
-fn abs_diff(a: Duration, b: Duration) -> Duration {
-    if a > b {
-        a - b
-    } else {
-        b - a
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Laws 1–3 for `ApproxEps` against `StreamingEps`.
-    #[test]
-    fn approx_eps_verdicts_stay_within_err_of_exact(
-        left in trace_strategy(),
-        right in trace_strategy(),
-        eps_ms in 0i64..10,
-        grain_ms in 1i64..4,
-    ) {
-        let classes = classes();
-        let eps = Duration::from_millis(eps_ms);
-        let grain = Duration::from_millis(grain_ms);
-        let exact = stream_eps(&left, &right, eps, &classes);
-        let approx = approx_eps(&left, &right, eps, grain, &classes);
-
-        if let Err(e) = &approx {
-            if matches!(e, RelationError::CardinalityMismatch { .. }) {
-                // Cardinalities are tracked exactly: the exact monitor
-                // rejects the same trace pair at any bound.
-                prop_assert!(stream_eps(&left, &right, Duration::MAX, &classes).is_err());
-            } else if eps >= grain {
-                prop_assert!(
-                    stream_eps(&left, &right, eps - grain, &classes).is_err(),
-                    "approx rejected ({e:?}) but exact accepts at ε − err"
-                );
-            }
-        }
-        if exact.is_ok() {
-            let widened = approx_eps(&left, &right, eps + grain, grain, &classes);
-            prop_assert!(
-                widened.is_ok(),
-                "exact accepted at ε but approx rejects at ε + err: {widened:?}"
-            );
-        }
-        if let (Ok(e), Ok(a)) = (&exact, &approx) {
-            prop_assert!(
-                abs_diff(e.max_deviation, a.max_deviation) < grain,
-                "witness deviations {e:?} vs {a:?} differ by ≥ err"
-            );
-            prop_assert_eq!(e.matched, a.matched);
-        }
-    }
-
-    /// The same three laws for `ApproxDelta` against `StreamingDelta`.
-    #[test]
-    fn approx_delta_verdicts_stay_within_err_of_exact(
-        left in trace_strategy(),
-        right in trace_strategy(),
-        delta_ms in 0i64..10,
-        grain_ms in 1i64..4,
-    ) {
-        let classes = classes();
-        let delta = Duration::from_millis(delta_ms);
-        let grain = Duration::from_millis(grain_ms);
-        let exact = stream_delta(&left, &right, delta, &classes);
-        let approx = approx_delta(&left, &right, delta, grain, &classes);
-
-        if let Err(e) = &approx {
-            if matches!(e, RelationError::CardinalityMismatch { .. }) {
-                prop_assert!(stream_delta(&left, &right, Duration::MAX, &classes).is_err());
-            }
-            // `≤_{δ,K}` also rejects on direction (backward slides) and
-            // on the exact-time rest lane, both of which the lattice can
-            // only relax — so the tightened-bound law needs the reject to
-            // be a time-bound one.
-            else if matches!(e, RelationError::TimeBound { .. }) && delta >= grain {
-                prop_assert!(
-                    stream_delta(&left, &right, delta - grain, &classes).is_err(),
-                    "approx rejected ({e:?}) but exact accepts at δ − err"
-                );
-            }
-        }
-        if exact.is_ok() {
-            let widened = approx_delta(&left, &right, delta + grain, grain, &classes);
-            prop_assert!(
-                widened.is_ok(),
-                "exact accepted at δ but approx rejects at δ + err: {widened:?}"
-            );
-        }
-        if let (Ok(e), Ok(a)) = (&exact, &approx) {
-            prop_assert!(
-                abs_diff(e.max_deviation, a.max_deviation) < grain,
-                "witness deviations {e:?} vs {a:?} differ by ≥ err"
-            );
-            prop_assert_eq!(e.matched, a.matched);
-        }
-    }
-}
-
-/// The approximate-lane edge cases ISSUE 9 calls out, pinned
-/// deterministically: an empty reference trace, `ClassMap::single()` with
-/// zero observed events, and the verdict flip exactly at the ±err
-/// boundary.
-#[test]
-fn approx_edge_cases_empty_reference_zero_observed_and_err_boundary() {
-    let t = |n: i64| Time::ZERO + Duration::from_millis(n);
-    let ms = Duration::from_millis;
-    let classes = classes();
-
-    // Empty reference: accepting with an empty witness when nothing is
-    // observed, rejecting (lane miss / cardinality, both exact verdicts)
-    // the moment anything is.
-    let empty = TimedTrace::<&'static str>::new();
-    let w = ApproxEps::new(&empty, ms(5), ms(1), &classes)
-        .finish()
-        .unwrap();
-    assert_eq!(w.witness.matched, 0);
-    assert_eq!(w.witness.max_deviation, Duration::ZERO);
-    assert_eq!(w.err, ms(1));
-    let mut m = ApproxEps::new(&empty, ms(5), ms(1), &classes);
-    m.observe(&"a0", t(0));
-    assert!(m.finish().is_err());
-    assert!(ApproxDelta::new(&empty, ms(5), ms(1), &classes)
-        .finish()
-        .is_ok());
-
-    // ClassMap::single() with zero observed events: every reference
-    // action sits unmatched in the one class lane, so both approximate
-    // monitors report the exact cardinality deficit.
-    let single = ClassMap::single();
-    let reference: TimedTrace<&'static str> = vec![("a0", t(1)), ("b0", t(2)), ("c0", t(3))]
-        .into_iter()
-        .collect();
-    for verdict in [
-        ApproxEps::new(&reference, ms(5), ms(1), &single).finish(),
-        ApproxDelta::new(&reference, ms(5), ms(1), &single).finish(),
-    ] {
-        match verdict.unwrap_err().error {
-            RelationError::CardinalityMismatch { class, left, right } => {
-                assert_eq!((class, left, right), (Some(0), 3, 0));
-            }
-            other => panic!("expected an exact cardinality verdict, got {other:?}"),
-        }
-    }
-
-    // The ±err boundary. Reference on the lattice, ε = 3 ms, grain (err)
-    // = 1 ms: an observation at ε is on the line and accepted; one inside
-    // the +err half-interval (ε + err − 1 ns) is still accepted — the
-    // exact monitor rejects it, which is precisely the advertised ±err
-    // disagreement — and one at ε + err flips the verdict to reject.
-    let reference: TimedTrace<&'static str> = vec![("a0", t(0))].into_iter().collect();
-    let eps = ms(3);
-    let grain = ms(1);
-    let verdict = |at: Time| {
-        let mut m = ApproxEps::new(&reference, eps, grain, &classes);
-        m.observe(&"a0", at);
-        m.finish()
-    };
-
-    let on_the_line = verdict(Time::ZERO + eps).unwrap();
-    assert_eq!(on_the_line.witness.max_deviation, eps);
-
-    let inside = Time::ZERO + eps + grain - Duration::NANOSECOND;
-    assert!(verdict(inside).is_ok(), "within +err of the bound");
-    let mut exact = StreamingEps::new(&reference, eps, &classes);
-    exact.observe(&"a0", inside);
-    assert!(
-        exact.finish().is_err(),
-        "the exact monitor rejects inside the +err half-interval"
-    );
-
-    let flipped = verdict(Time::ZERO + eps + grain).unwrap_err();
-    assert_eq!(flipped.err, grain);
-    match flipped.error {
-        RelationError::TimeBound { bound, .. } => assert_eq!(bound, eps),
-        other => panic!("expected a time-bound flip, got {other:?}"),
-    }
 }
