@@ -1,8 +1,7 @@
 //! Criterion bench: the wake-up-heap engine at ring sizes the flat scan
 //! could never reach.
 //!
-//! Where `engine_scaling.rs` compares the two engines at small `n`, this
-//! bench pushes the heap engine to `n ∈ {32, 128, 1024, 4096}` on two
+//! Pushes the heap engine to `n ∈ {32, 128, 1024, 4096}` on two
 //! token-ring workloads (see `psync_bench::ring`):
 //!
 //! * **dense** — every node holds [`TOKENS_PER_NODE`] tokens, so each

@@ -2,7 +2,7 @@
 //!
 //! Installs [`CountingAlloc`] as the global allocator of this test binary
 //! and runs the deterministic ring workload (`n = 32`, ~4096 events) that
-//! `engine_scaling` benchmarks, in both token flavours:
+//! `engine_scaling_heap` benchmarks, in both token flavours:
 //!
 //! - the `String`-token ("heavy") ring, where every action clone is a real
 //!   heap allocation — this pins the allocation diet: the quotient

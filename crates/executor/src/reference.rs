@@ -14,7 +14,7 @@
 //! * **Differential testing** — `tests/engine_equiv.rs` asserts that the
 //!   incremental [`Engine`](crate::Engine) reproduces this interpreter's
 //!   executions event-for-event across seeded schedulers.
-//! * **Benchmark baseline** — `psync-bench`'s `engine_scaling` bench
+//! * **Benchmark baseline** — `psync-bench`'s `engine_scaling_heap` bench
 //!   measures the incremental engine's speedup against it.
 //!
 //! Keep this module dumb. Optimizations belong in `engine.rs`; any change

@@ -106,15 +106,18 @@ impl Artifact {
 ///
 /// # Errors
 ///
-/// Returns an error if the plan is inadmissible for the artifact's own
-/// scenario envelope — a malformed artifact, since the explorer only
-/// dumps validated plans.
+/// Returns an error if the config is out of range for its scenario
+/// ([`ScenarioConfig::validate`]) or the plan is inadmissible for the
+/// artifact's own scenario envelope — a malformed artifact either way,
+/// since the explorer only dumps catalog configs and validated plans.
 pub fn replay_artifact(artifact: &Artifact) -> Result<CaseOutcome, String> {
-    artifact
-        .plan
-        .validate(&artifact.config.envelope())
+    let Artifact {
+        config, plan, seed, ..
+    } = artifact;
+    config.validate()?;
+    plan.validate(&config.envelope())
         .map_err(|e| format!("artifact plan is inadmissible: {e}"))?;
-    Ok(run_case(&artifact.config, &artifact.plan, artifact.seed))
+    Ok(run_case(config, plan, *seed, false))
 }
 
 #[cfg(test)]

@@ -22,11 +22,16 @@
 //!    [`ClockStrategy`](psync_executor::ClockStrategy) whose off-envelope
 //!    requests are *clamped and counted* by the C1–C4 guard, and a
 //!    tie-breaking scheduler bias.
-//! 3. **[`scenario`]** — factories build the systems under test
-//!    (heartbeat failure detection, a clock-node fleet, Algorithm S in
-//!    `D_C`) and judge runs with [`Oracle`](psync_verify::Oracle)s:
+//! 3. **[`scenario`]** — the systems under test, one [`Scenario`] impl per
+//!    family: heartbeat failure detection (timed model), a clock-node
+//!    beeper fleet, time-division mutual exclusion, Algorithm S in `D_C`,
+//!    the generalized-object counter, and probe/echo clock
+//!    synchronization. [`run_scenario`] is the one pipeline that builds,
+//!    drives and judges a case — with [`Oracle`](psync_verify::Oracle)s:
 //!    linearizability, the `C_ε` axiom probes, delivery envelopes,
-//!    failure-detector accuracy/completeness, and Lemma 2.1 replays.
+//!    failure-detector accuracy/completeness, and Lemma 2.1 replays —
+//!    and [`run_case`] maps each of the sixteen catalog kinds to its
+//!    family.
 //! 4. **[`explore`]** — the seeded campaign loop; every case is a pure
 //!    function of its seed.
 //! 5. **[`shrink`]** — failing plans are reduced by ddmin to a 1-minimal
@@ -52,12 +57,10 @@ pub use explore::{
     CampaignConfig, CampaignReport, CampaignStats, CanaryVerdict, Failure,
 };
 pub use faults::{scripted_clock_for, seq_of, BiasedScheduler, PlanChannelFault, PlanDelayPolicy};
-pub use online::{heartbeat_stream_oracles, run_case_online, run_heartbeat_online};
 pub use plan::{at_ns, ns, FaultEntry, FaultEnvelope, FaultPlan, Inadmissible};
 pub use scenario::{
-    clockfleet_oracles, counter_oracles, fingerprint, heartbeat_oracles, mutex_oracles,
-    register_oracles, run_case, run_clockfleet, run_counter, run_heartbeat, run_heartbeat_restart,
-    run_mutex, run_register, run_sync, sync_oracles, CaseOutcome, HeartbeatRelay, Judged,
-    ScenarioConfig, ScenarioKind,
+    fingerprint, register_oracles, run_case, run_scenario, CaseOutcome, CaseParts,
+    ClockFleetFamily, CounterFamily, HeartbeatFamily, HeartbeatRelay, Judged, MutexFamily,
+    RegisterFamily, Scenario, ScenarioConfig, ScenarioKind, SyncFamily,
 };
 pub use shrink::{shrink_entries, CampaignTelemetry};

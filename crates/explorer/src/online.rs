@@ -1,14 +1,15 @@
 //! Online judging of heartbeat-family cases: stream oracles consume
 //! events through the engine's [`Observer`](psync_executor::Observer)
-//! hooks *while the case runs*, and the driver stops the engine the
+//! hooks *while the case runs*, and the case runner stops the engine the
 //! moment any oracle declares a violation certain — judging cost scales
 //! with the distance to the first violation instead of the horizon.
 //!
 //! The heartbeat family's three safety properties are written once, in
-//! [`StreamOracle`] form; `heartbeat_oracles` judges a recorded
-//! execution by folding these same oracles over its events
-//! ([`psync_verify::FoldOracle`]), so the two modes cannot disagree on
-//! a name or a message:
+//! [`StreamOracle`] form; [`run_scenario`](crate::scenario::run_scenario)
+//! feeds them through an [`OnlineJudge`](psync_obs::OnlineJudge) when a
+//! case is judged online and folds these same oracles over the recorded
+//! events ([`psync_verify::fold`]) when it is judged post-hoc, so the two
+//! modes cannot disagree on a name or a message:
 //!
 //! * `EnvelopeStream` — the `[d₁, d₂]` delivery envelope plus the
 //!   plan's drop/duplicate ledger ("delivery envelope").
@@ -32,25 +33,21 @@
 
 use psync_apps::heartbeat::{FdAction, FdOp};
 use psync_automata::{TimedEvent, Verdict};
-use psync_executor::StopReason;
 use psync_net::SysAction;
-use psync_obs::{monitor_snapshot, OnlineJudge};
 use psync_time::{DelayBounds, Duration, Time};
 use psync_verify::{FifoStream, StreamOracle};
 
 use crate::faults::seq_of;
 use crate::plan::{at_ns, ns, FaultEntry, FaultPlan};
-use crate::scenario::{
-    build_heartbeat_with, finish_case, hb_shape, monitor_params, outcome_of, CaseOutcome, Judged,
-    ScenarioConfig, ScenarioKind,
-};
+use crate::scenario::{hb_shape, monitor_params, ScenarioConfig};
 
-/// Events between judge polls: the engine pauses every this many events
-/// so the driver can check for a certain violation. Small enough that a
-/// short-circuit saves nearly the whole tail even on the catalog's
-/// short default horizons, large enough that the pause bookkeeping is
-/// noise (a pause is just an early return from the step loop).
-const ONLINE_CHUNK: usize = 32;
+/// Events between judge polls: an online case's engine pauses every this
+/// many events so the runner can check for a certain violation. Small
+/// enough that a short-circuit saves nearly the whole tail even on the
+/// catalog's short default horizons, large enough that the pause
+/// bookkeeping is noise (a pause is just an early return from the step
+/// loop).
+pub(crate) const ONLINE_CHUNK: usize = 32;
 
 /// The "delivery envelope" oracle: every `Recv` must match a prior
 /// `Send`, land inside the declared `[d₁, d₂]` window, not resurrect a
@@ -260,11 +257,10 @@ impl StreamOracle<FdAction> for FdStream {
 
 /// The heartbeat family's stream-oracle set: "delivery envelope",
 /// "fifo order" and "failure detector", in that order — fed by the
-/// online judge during a run, and folded over the recorded execution by
-/// `heartbeat_oracles`. The Lemma 2.1 replay oracles have no streaming
-/// form and stay post-hoc.
-#[must_use]
-pub fn heartbeat_stream_oracles(
+/// online judge during a run, or folded over the recorded execution
+/// afterwards. The Lemma 2.1 replay oracles have no streaming form and
+/// stay post-hoc.
+pub(crate) fn heartbeat_stream_oracles(
     cfg: &ScenarioConfig,
     plan: &FaultPlan,
 ) -> Vec<Box<dyn StreamOracle<FdAction>>> {
@@ -309,69 +305,14 @@ pub fn heartbeat_stream_oracles(
     ]
 }
 
-/// Runs one heartbeat-family case with the stream oracles attached as
-/// an observer, pausing every `ONLINE_CHUNK` events to poll the judge
-/// and stopping the engine the moment a violation is certain. A
-/// short-circuited case reports that single certain violation (and
-/// bumps `monitor.short_circuits`); a case that reaches its natural
-/// stop reports the full stream verdicts — those of the post-hoc
-/// oracles of the same names.
-///
-/// # Panics
-///
-/// Panics if the config is not a heartbeat-family config, or is the
-/// restart variant (whose checkpoint seam needs the offline runner).
-#[must_use]
-pub fn run_heartbeat_online(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64) -> Judged<FdAction> {
-    assert!(
-        cfg.kind.is_heartbeat() && cfg.kind != ScenarioKind::HeartbeatRestart,
-        "online judging covers the non-restart heartbeat family"
-    );
-    let oracles = heartbeat_stream_oracles(cfg, plan);
-    let checks = oracles.len() as u64;
-    let judge = OnlineJudge::new(oracles);
-    let mut built = build_heartbeat_with(cfg, plan, seed, Some(&judge));
-    let mut pause_at = ONLINE_CHUNK;
-    let run = loop {
-        match built.engine.run_until_events(pause_at) {
-            Ok(run) if run.stop == StopReason::Paused && judge.certain().is_none() => {
-                pause_at = run.execution.len() + ONLINE_CHUNK;
-            }
-            Ok(run) => break Ok(run),
-            Err(e) => break Err(e.to_string()),
-        }
-    };
-    let violations = match &run {
-        Err(e) => vec![("engine".into(), e.clone())],
-        Ok(r) if r.stop == StopReason::Paused => {
-            built.hub.add("monitor.short_circuits", 1);
-            vec![judge
-                .certain()
-                .expect("the online driver only pauses on a certain violation")]
-        }
-        Ok(_) => judge.finish(at_ns(cfg.horizon_ns)),
-    };
-    let metrics = monitor_snapshot(checks, violations.len() as u64);
-    finish_case(&built, (violations, metrics), run)
-}
-
-/// Online counterpart of [`crate::scenario::run_case`], for the kinds
-/// that support it: `Some(outcome)` for the non-restart heartbeat
-/// family, `None` otherwise (the caller falls back to the post-hoc
-/// judge).
-#[must_use]
-pub fn run_case_online(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64) -> Option<CaseOutcome> {
-    (cfg.kind.is_heartbeat() && cfg.kind != ScenarioKind::HeartbeatRestart)
-        .then(|| outcome_of(run_heartbeat_online(cfg, plan, seed)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::canary::CanaryKind;
-    use crate::plan::FaultPlan;
-    use crate::scenario::{heartbeat_oracles, run_heartbeat};
-    use psync_verify::check_all;
+    use crate::scenario::{
+        assemble, run_case, run_scenario, HeartbeatFamily, Scenario, ScenarioKind,
+    };
+    use psync_obs::OnlineJudge;
 
     #[test]
     fn stream_oracles_match_posthoc_on_clean_and_failing_runs() {
@@ -412,15 +353,16 @@ mod tests {
             // Online: the oracles see events through the engine's
             // observer hooks; no `certain()` polling, so the run reaches
             // its natural stop.
-            let streams = heartbeat_stream_oracles(cfg, &plan);
+            let streams = HeartbeatFamily::stream_oracles(cfg, &plan);
             let streamable: Vec<String> = streams.iter().map(|s| s.name()).collect();
             let judge = OnlineJudge::new(streams);
-            let mut built = build_heartbeat_with(cfg, &plan, 7, Some(&judge));
-            let run = built.engine.run().expect("run succeeded");
+            let mut built = assemble::<HeartbeatFamily>(cfg, &plan, 7, Some(&judge));
+            built.engine.run().expect("run succeeded");
             let online = judge.finish(at_ns(cfg.horizon_ns));
             // Post-hoc: the same oracles folded over the recorded slice.
             let posthoc: Vec<(String, String)> =
-                check_all(&heartbeat_oracles(cfg, &plan), &run.execution)
+                run_scenario::<HeartbeatFamily>(cfg, &plan, 7, false)
+                    .violations
                     .into_iter()
                     .filter(|(name, _)| streamable.contains(name))
                     .collect();
@@ -437,8 +379,8 @@ mod tests {
     fn online_run_matches_offline_verdicts_on_a_clean_case() {
         let cfg = ScenarioConfig::default_for(ScenarioKind::Heartbeat);
         let plan = FaultPlan::default();
-        let offline = run_heartbeat(&cfg, &plan, 3);
-        let online = run_heartbeat_online(&cfg, &plan, 3);
+        let offline = run_scenario::<HeartbeatFamily>(&cfg, &plan, 3, false);
+        let online = run_scenario::<HeartbeatFamily>(&cfg, &plan, 3, true);
         assert!(offline.violations.is_empty());
         assert!(online.violations.is_empty());
         // Same execution: attaching the judge observer never perturbs
@@ -461,8 +403,8 @@ mod tests {
             ..ScenarioConfig::default_for(ScenarioKind::Heartbeat)
         };
         let plan = FaultPlan::default();
-        let offline = run_heartbeat(&cfg, &plan, 5);
-        let online = run_heartbeat_online(&cfg, &plan, 5);
+        let offline = run_scenario::<HeartbeatFamily>(&cfg, &plan, 5, false);
+        let online = run_scenario::<HeartbeatFamily>(&cfg, &plan, 5, true);
         let offline_events = offline.run.as_ref().unwrap().execution.len();
         let online_events = online.run.as_ref().unwrap().execution.len();
         assert!(
@@ -486,24 +428,37 @@ mod tests {
             ..ScenarioConfig::default_for(ScenarioKind::HeartbeatGray)
         };
         let plan = FaultPlan::default();
-        let a = run_case_online(&cfg, &plan, 11).expect("heartbeat kind is online-capable");
-        let b = run_case_online(&cfg, &plan, 11).expect("heartbeat kind is online-capable");
-        assert_eq!(a, b);
+        assert_eq!(
+            run_case(&cfg, &plan, 11, true),
+            run_case(&cfg, &plan, 11, true)
+        );
     }
 
+    /// Where the online judge is declined — the nine kinds without stream
+    /// oracles, and the restart kind, whose checkpoint seam needs the
+    /// post-hoc path — the flag changes nothing at all. Where it is
+    /// granted, a clean case runs the identical execution to its natural
+    /// stop; only the judge bookkeeping differs (the replays are
+    /// post-hoc only).
     #[test]
     fn online_declines_non_heartbeat_kinds() {
         let plan = FaultPlan::default();
-        for kind in [
-            ScenarioKind::HeartbeatRestart,
-            ScenarioKind::ClockFleet,
-            ScenarioKind::Mutex,
-            ScenarioKind::Register,
-            ScenarioKind::Counter,
-            ScenarioKind::SyncProbe,
-        ] {
+        for kind in ScenarioKind::all() {
             let cfg = ScenarioConfig::default_for(kind);
-            assert!(run_case_online(&cfg, &plan, 1).is_none(), "{kind:?}");
+            let offline = run_case(&cfg, &plan, 1, false);
+            let online = run_case(&cfg, &plan, 1, true);
+            if kind.is_heartbeat() && kind != ScenarioKind::HeartbeatRestart {
+                assert_eq!(online.events, offline.events, "{kind:?}");
+                assert_eq!(online.fingerprint, offline.fingerprint, "{kind:?}");
+                assert!(online.violations.is_empty(), "{kind:?}");
+                assert_ne!(
+                    online.metrics.counter("monitor.checks"),
+                    offline.metrics.counter("monitor.checks"),
+                    "{kind:?} was not judged online"
+                );
+            } else {
+                assert_eq!(online, offline, "{kind:?}");
+            }
         }
     }
 }

@@ -1,61 +1,35 @@
-//! Scenario factories: the systems a fault plan perturbs, and the
-//! oracles that judge each run.
+//! Scenarios: the systems a fault plan perturbs, the oracles that judge
+//! each run, and the one pipeline that runs a case of any of them.
 //!
 //! The catalog covers the workspace's three model layers with sixteen
-//! scenarios in six families:
+//! [`ScenarioKind`]s in six families. A family is one [`Scenario`] impl —
+//! how the system is built, which properties it streams, which oracles
+//! judge it whole — and [`run_scenario`] is the only code that builds,
+//! drives, judges and accounts a case, for every family alike: straight,
+//! across a checkpoint seam, or under an online judge. Adding a family is
+//! that impl, its `CATALOG` rows and its arm in [`run_case`]; nothing in
+//! the shrinker, the artifact reader or the campaign binary changes.
 //!
-//! * **heartbeat family** — the timed model: heartbeaters, plan-driven
-//!   [`FaultChannel`]s, monitors, and (optionally) scripted crashes.
-//!   Variants add a crash ([`ScenarioKind::HeartbeatCrash`]), a
-//!   crash-recovery seam replayed through `Engine::checkpoint`/`restore`
-//!   ([`ScenarioKind::HeartbeatRestart`], Lemma 2.1 as an executable
-//!   test), an intermittently slow gray channel
-//!   ([`ScenarioKind::HeartbeatGray`]), a symmetric two-way pair
-//!   ([`ScenarioKind::HeartbeatBidi`]), a three-node relay line
-//!   ([`ScenarioKind::Relay`]), and a partitioned four-node topology
-//!   ([`ScenarioKind::Partition`]). Oracles: the `[d₁, d₂]` delivery
-//!   envelope, per-edge FIFO order, per-pair failure-detector accuracy
-//!   and completeness (hop-aware detection bounds), and Lemma 2.1
-//!   replays of every component.
-//! * **clockfleet family** — the clock model in isolation: `n` clock
-//!   nodes with plan-scripted clocks driving periodic clock-time
-//!   beepers. Oracles: `C_ε` on every recorded reading, per-node clock
-//!   monotonicity and exact clock-time cadence, and Lemma 2.1 clock
-//!   replays.
-//! * **mutex family** — the paper's time-division mutual exclusion
-//!   (Section 7's design techniques, `SlotUser` under `C(A, ε)`): slot
-//!   users with `guard = ε` edges, transformed to clock time. Oracles:
-//!   interval-based mutual exclusion, per-node liveness (every round
-//!   entered), `C_ε`, and clock replays of each slot user.
-//! * **register family** — the full `D_C` assembly of Section 6
-//!   (Algorithm S through Simulation 1) in two- and three-node flavors.
-//!   Oracles: linearizability (the same [`LinearizableRegister`] problem
-//!   the conformance sweeps use), `C_ε`, liveness, and a workload
-//!   replay.
-//! * **counter** — the generalized-object extension: `AlgorithmSObj`
-//!   over the [`Counter`] spec under a seeded object workload, judged by
-//!   [`ObjectLinearizableOracle`].
-//! * **sync family** — clock synchronization that *achieves* ε̂:
-//!   drifting clock nodes running `psync-sync`'s probe/echo components
-//!   over faultable `[d₁, d₂]` channels, certifying a measured bound
-//!   each round. [`ScenarioKind::SyncRounds`] is the fault-resistant
-//!   configuration (drops and duplicates in scope, crashed/gray peers
-//!   aged out by grace). Oracles: the ε̂-parameterized `C_ε`
-//!   ([`psync_sync::EpsHatOracle`] — certificate soundness against the
-//!   recorded clock readings *and* achievement of the
-//!   [`predicted_eps_hat`] bound), the
-//!   constant-ε `C_ε` probe, and Lemma 2.1 clock replays of every sync
-//!   component. The per-edge FIFO oracle is deliberately absent: a
-//!   node legitimately hands several same-instant sends (probe bursts,
-//!   held echoes) to independently delayed channels.
+//! * [`HeartbeatFamily`] — the timed model: failure detection over
+//!   plan-driven fault channels, in seven topologies and fault flavours.
+//! * [`ClockFleetFamily`] — the clock model in isolation: scripted clocks
+//!   driving clock-time beepers.
+//! * [`MutexFamily`] — Section 7's time-division mutual exclusion under
+//!   `C(A, ε)`.
+//! * [`RegisterFamily`] — the full `D_C` assembly of Section 6
+//!   (Algorithm S through Simulation 1), two or three nodes.
+//! * [`CounterFamily`] — the generalized-object extension in `D_C`.
+//! * [`SyncFamily`] — clock synchronization that *achieves* ε̂.
 //!
-//! Every factory is a pure function of `(config, plan, seed)` — the
-//! entire contents of a replay artifact — which is what makes replays
+//! Every [`Scenario`] item is a pure function of `(config, plan, seed)` —
+//! the entire contents of a replay artifact — which is what makes replays
 //! bit-identical. Planted-bug canaries ([`CanaryKind`]) mutate one
 //! factory knob each; the config carries the tag so artifacts of caught
 //! canaries replay the mutant faithfully.
 
 use core::cell::Cell;
+use std::fmt::Debug;
+use std::hash::Hash;
 use std::rc::Rc;
 
 use psync_apps::heartbeat::{FdAction, FdOp, FdParams, Heartbeat, Heartbeater, Monitor};
@@ -63,7 +37,9 @@ use psync_apps::mutex::{MutexAction, MutexOp, SlotUser};
 use psync_automata::toys::{BeepAction, ClockBeeper};
 use psync_automata::{Action, ActionKind, Execution, TimedComponent, Verdict};
 use psync_core::{app_trace, build_dc, ClockSim, NodeSpec};
-use psync_executor::{ClockNode, DriftClock, Engine, OffsetClock, Run, StopReason};
+use psync_executor::{
+    ClockNode, ClockStrategy, DriftClock, Engine, EngineBuilder, OffsetClock, Run, StopReason,
+};
 use psync_net::{
     Envelope, FaultChannel, FaultStats, MaxDelay, MsgId, NodeId, Script, SysAction, Topology,
 };
@@ -75,12 +51,13 @@ use psync_register::{
 };
 use psync_sync::{
     drift_rates, predicted_eps_hat, rho_max, EpsHatOracle, MeasuredEps, ProbeSync, RoundSync,
-    SyncAction, SyncMsg, SyncOp, SyncParams,
+    SyncAction, SyncParams,
 };
 use psync_time::{DelayBounds, Duration, Time};
-use psync_verify::replay::{replay_clock, replay_timed};
+use psync_verify::replay::{replay_clock, replay_timed, ReplayError};
 use psync_verify::{
-    FnOracle, FoldOracle, LinearizableRegister, ObjectLinearizableOracle, Oracle, ProblemOracle,
+    fold, FnOracle, LinearizableRegister, ObjectLinearizableOracle, Oracle, ProblemOracle,
+    StreamOracle,
 };
 
 use crate::canary::CanaryKind;
@@ -88,7 +65,7 @@ use crate::faults::{
     scripted_clock_for, seq_of, BiasedScheduler, PlanChannelFault, PlanDelayPolicy,
 };
 use crate::json::Json;
-use crate::online::heartbeat_stream_oracles;
+use crate::online::{heartbeat_stream_oracles, ONLINE_CHUNK};
 use crate::plan::{at_ns, ns, FaultEnvelope, FaultPlan};
 
 /// Which system a case runs.
@@ -136,28 +113,37 @@ pub enum ScenarioKind {
     SyncRounds,
 }
 
+/// The catalog: every kind beside its stable keyword, in the order
+/// campaigns, reports and `--scenario all` walk it. Adding a kind is one
+/// row here (plus its defaults and its arm in [`run_case`]).
+const CATALOG: [(ScenarioKind, &str); 16] = [
+    (ScenarioKind::Heartbeat, "heartbeat"),
+    (ScenarioKind::HeartbeatCrash, "heartbeat_crash"),
+    (ScenarioKind::HeartbeatRestart, "heartbeat_restart"),
+    (ScenarioKind::HeartbeatGray, "heartbeat_gray"),
+    (ScenarioKind::HeartbeatBidi, "heartbeat_bidi"),
+    (ScenarioKind::Relay, "relay"),
+    (ScenarioKind::Partition, "partition"),
+    (ScenarioKind::ClockFleet, "clockfleet"),
+    (ScenarioKind::ClockFleetLarge, "clockfleet_large"),
+    (ScenarioKind::Mutex, "mutex"),
+    (ScenarioKind::MutexContended, "mutex_contended"),
+    (ScenarioKind::Register, "register"),
+    (ScenarioKind::RegisterTriple, "register_triple"),
+    (ScenarioKind::Counter, "counter"),
+    (ScenarioKind::SyncProbe, "sync_probe"),
+    (ScenarioKind::SyncRounds, "sync_rounds"),
+];
+
 impl ScenarioKind {
     /// Stable keyword (artifact `scenario` field, CLI `--scenario`).
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            ScenarioKind::Heartbeat => "heartbeat",
-            ScenarioKind::HeartbeatCrash => "heartbeat_crash",
-            ScenarioKind::HeartbeatRestart => "heartbeat_restart",
-            ScenarioKind::HeartbeatGray => "heartbeat_gray",
-            ScenarioKind::HeartbeatBidi => "heartbeat_bidi",
-            ScenarioKind::Relay => "relay",
-            ScenarioKind::Partition => "partition",
-            ScenarioKind::ClockFleet => "clockfleet",
-            ScenarioKind::ClockFleetLarge => "clockfleet_large",
-            ScenarioKind::Mutex => "mutex",
-            ScenarioKind::MutexContended => "mutex_contended",
-            ScenarioKind::Register => "register",
-            ScenarioKind::RegisterTriple => "register_triple",
-            ScenarioKind::Counter => "counter",
-            ScenarioKind::SyncProbe => "sync_probe",
-            ScenarioKind::SyncRounds => "sync_rounds",
-        }
+        CATALOG
+            .iter()
+            .find(|(kind, _)| *kind == self)
+            .expect("every kind has a CATALOG row")
+            .1
     }
 
     /// Parses a keyword.
@@ -166,33 +152,17 @@ impl ScenarioKind {
     ///
     /// Unknown keyword.
     pub fn from_name(s: &str) -> Result<ScenarioKind, String> {
-        ScenarioKind::all()
-            .into_iter()
-            .find(|k| k.name() == s)
+        CATALOG
+            .iter()
+            .find(|(_, name)| *name == s)
+            .map(|(kind, _)| *kind)
             .ok_or_else(|| format!("unknown scenario {s:?}"))
     }
 
     /// All scenario kinds, in catalog order.
     #[must_use]
     pub fn all() -> [ScenarioKind; 16] {
-        [
-            ScenarioKind::Heartbeat,
-            ScenarioKind::HeartbeatCrash,
-            ScenarioKind::HeartbeatRestart,
-            ScenarioKind::HeartbeatGray,
-            ScenarioKind::HeartbeatBidi,
-            ScenarioKind::Relay,
-            ScenarioKind::Partition,
-            ScenarioKind::ClockFleet,
-            ScenarioKind::ClockFleetLarge,
-            ScenarioKind::Mutex,
-            ScenarioKind::MutexContended,
-            ScenarioKind::Register,
-            ScenarioKind::RegisterTriple,
-            ScenarioKind::Counter,
-            ScenarioKind::SyncProbe,
-            ScenarioKind::SyncRounds,
-        ]
+        CATALOG.map(|(kind, _)| kind)
     }
 
     /// Does this kind belong to the heartbeat (timed-model) family?
@@ -260,8 +230,27 @@ impl ScenarioConfig {
     /// The default heartbeat scenario.
     #[must_use]
     pub fn heartbeat_default() -> ScenarioConfig {
-        ScenarioConfig {
-            kind: ScenarioKind::Heartbeat,
+        ScenarioConfig::default_for(ScenarioKind::Heartbeat)
+    }
+
+    /// The default clock-fleet scenario.
+    #[must_use]
+    pub fn clockfleet_default() -> ScenarioConfig {
+        ScenarioConfig::default_for(ScenarioKind::ClockFleet)
+    }
+
+    /// The default register scenario.
+    #[must_use]
+    pub fn register_default() -> ScenarioConfig {
+        ScenarioConfig::default_for(ScenarioKind::Register)
+    }
+
+    /// The catalog default for any scenario kind: the plain heartbeat
+    /// pair, with what each kind changes.
+    #[must_use]
+    pub fn default_for(kind: ScenarioKind) -> ScenarioConfig {
+        let base = ScenarioConfig {
+            kind,
             nodes: 2,
             d1_ns: 1_000_000,
             d2_ns: 4_000_000,
@@ -275,156 +264,96 @@ impl ScenarioConfig {
             restart_at_ns: None,
             canary: None,
             bug_extra_ns: 0,
-        }
-    }
-
-    /// The default clock-fleet scenario.
-    #[must_use]
-    pub fn clockfleet_default() -> ScenarioConfig {
-        ScenarioConfig {
-            kind: ScenarioKind::ClockFleet,
+        };
+        // The clock-model families run no channels: no delays, no drops.
+        let clock_model = ScenarioConfig {
             nodes: 3,
             d1_ns: 0,
             d2_ns: 0,
             eps_ns: 2_000_000,
-            horizon_ns: 250_000_000,
-            period_ns: 9_000_000,
             max_drops: 0,
-            ops_per_node: 0,
-            drift_ppm: 0,
-            crash_at_ns: None,
-            restart_at_ns: None,
-            canary: None,
-            bug_extra_ns: 0,
-        }
-    }
-
-    /// The default register scenario.
-    #[must_use]
-    pub fn register_default() -> ScenarioConfig {
-        ScenarioConfig {
-            kind: ScenarioKind::Register,
-            nodes: 2,
-            d1_ns: 1_000_000,
-            d2_ns: 4_000_000,
-            eps_ns: 1_000_000,
-            // Liveness bound, and also the window fault plans are drawn
-            // over: the closed loop drains in tens of milliseconds, so a
-            // tight horizon keeps generated clock skews landing while
-            // operations are still racing.
-            horizon_ns: 400_000_000,
-            period_ns: 0,
-            max_drops: 0,
-            ops_per_node: 3,
-            drift_ppm: 0,
-            crash_at_ns: None,
-            restart_at_ns: None,
-            canary: None,
-            bug_extra_ns: 0,
-        }
-    }
-
-    /// The default clock-synchronization scenario: three drifting nodes
-    /// probing each other over faultable `[1, 3] ms` channels, a 20 ms
-    /// round, and the same `ε = 2 ms` envelope the clockfleet assumes —
-    /// which the certified ε̂ must then beat.
-    #[must_use]
-    pub fn sync_default() -> ScenarioConfig {
-        ScenarioConfig {
-            kind: ScenarioKind::SyncProbe,
-            nodes: 3,
-            d1_ns: 1_000_000,
-            d2_ns: 3_000_000,
-            eps_ns: 2_000_000,
-            horizon_ns: 300_000_000,
-            period_ns: 20_000_000,
-            max_drops: 0,
-            ops_per_node: 2,
-            drift_ppm: 200,
-            crash_at_ns: None,
-            restart_at_ns: None,
-            canary: None,
-            bug_extra_ns: 0,
-        }
-    }
-
-    /// The catalog default for any scenario kind.
-    #[must_use]
-    pub fn default_for(kind: ScenarioKind) -> ScenarioConfig {
+            ..base.clone()
+        };
         match kind {
-            ScenarioKind::Heartbeat => ScenarioConfig::heartbeat_default(),
+            ScenarioKind::Heartbeat | ScenarioKind::HeartbeatGray | ScenarioKind::HeartbeatBidi => {
+                base
+            }
             ScenarioKind::HeartbeatCrash => ScenarioConfig {
-                kind,
                 crash_at_ns: Some(150_000_000),
-                ..ScenarioConfig::heartbeat_default()
+                ..base
             },
             ScenarioKind::HeartbeatRestart => ScenarioConfig {
-                kind,
                 crash_at_ns: Some(150_000_000),
                 restart_at_ns: Some(110_000_000),
-                ..ScenarioConfig::heartbeat_default()
+                ..base
             },
-            ScenarioKind::HeartbeatGray | ScenarioKind::HeartbeatBidi => ScenarioConfig {
-                kind,
-                ..ScenarioConfig::heartbeat_default()
-            },
-            ScenarioKind::Relay => ScenarioConfig {
-                kind,
-                nodes: 3,
-                ..ScenarioConfig::heartbeat_default()
-            },
+            ScenarioKind::Relay => ScenarioConfig { nodes: 3, ..base },
             ScenarioKind::Partition => ScenarioConfig {
-                kind,
                 nodes: 4,
                 crash_at_ns: Some(150_000_000),
-                ..ScenarioConfig::heartbeat_default()
+                ..base
             },
-            ScenarioKind::ClockFleet => ScenarioConfig::clockfleet_default(),
+            ScenarioKind::ClockFleet => ScenarioConfig {
+                horizon_ns: 250_000_000,
+                period_ns: 9_000_000,
+                ..clock_model
+            },
             ScenarioKind::ClockFleetLarge => ScenarioConfig {
-                kind,
                 nodes: 6,
                 eps_ns: 3_000_000,
                 horizon_ns: 200_000_000,
                 period_ns: 7_000_000,
-                ..ScenarioConfig::clockfleet_default()
+                ..clock_model
             },
             ScenarioKind::Mutex => ScenarioConfig {
-                kind,
-                nodes: 3,
-                d1_ns: 0,
-                d2_ns: 0,
-                eps_ns: 2_000_000,
                 horizon_ns: 200_000_000,
-                period_ns: 10_000_000,
-                max_drops: 0,
                 ops_per_node: 4,
-                drift_ppm: 0,
-                crash_at_ns: None,
-                restart_at_ns: None,
-                canary: None,
-                bug_extra_ns: 0,
+                ..clock_model
             },
             ScenarioKind::MutexContended => ScenarioConfig {
-                kind,
                 nodes: 4,
                 horizon_ns: 160_000_000,
                 period_ns: 8_000_000,
                 ops_per_node: 3,
-                ..ScenarioConfig::default_for(ScenarioKind::Mutex)
+                ..clock_model
             },
-            ScenarioKind::Register => ScenarioConfig::register_default(),
+            // The register horizon is the liveness bound, and also the
+            // window fault plans are drawn over: the closed loop drains in
+            // tens of milliseconds, so a tight horizon keeps generated
+            // clock skews landing while operations are still racing.
+            ScenarioKind::Register => ScenarioConfig {
+                eps_ns: 1_000_000,
+                horizon_ns: 400_000_000,
+                period_ns: 0,
+                max_drops: 0,
+                ops_per_node: 3,
+                ..base
+            },
             ScenarioKind::RegisterTriple | ScenarioKind::Counter => ScenarioConfig {
                 kind,
                 nodes: 3,
                 ops_per_node: 2,
-                ..ScenarioConfig::register_default()
+                ..ScenarioConfig::default_for(ScenarioKind::Register)
             },
-            ScenarioKind::SyncProbe => ScenarioConfig::sync_default(),
+            // Three drifting nodes probing each other over faultable
+            // `[1, 3] ms` channels, a 20 ms round, and the same `ε = 2 ms`
+            // envelope the clockfleet assumes — which the certified ε̂ must
+            // then beat.
+            ScenarioKind::SyncProbe => ScenarioConfig {
+                nodes: 3,
+                d2_ns: 3_000_000,
+                eps_ns: 2_000_000,
+                period_ns: 20_000_000,
+                max_drops: 0,
+                ops_per_node: 2,
+                drift_ppm: 200,
+                ..base
+            },
             ScenarioKind::SyncRounds => ScenarioConfig {
                 kind,
                 nodes: 4,
                 max_drops: 2,
-                ..ScenarioConfig::sync_default()
+                ..ScenarioConfig::default_for(ScenarioKind::SyncProbe)
             },
         }
     }
@@ -441,64 +370,50 @@ impl ScenarioConfig {
     /// The admissibility envelope this scenario grants to fault plans.
     #[must_use]
     pub fn envelope(&self) -> FaultEnvelope {
-        let (allow_clock, allow_drop, allow_dup, allow_spike, edges) = if self.kind.is_heartbeat() {
-            (false, true, true, true, hb_shape(self.kind).edges)
-        } else {
-            match self.kind {
-                ScenarioKind::ClockFleet
-                | ScenarioKind::ClockFleetLarge
-                | ScenarioKind::Mutex
-                | ScenarioKind::MutexContended => (true, false, false, false, vec![]),
-                ScenarioKind::SyncProbe | ScenarioKind::SyncRounds => {
-                    // Sync nodes run *drifting* clocks, not plan-scripted
-                    // ones, so clock faults are out of scope; the
-                    // adversary owns the channels instead. Drops and
-                    // duplicates are granted only to the fault-resistant
-                    // rounds variant — the plain probe scenario's grace
-                    // budget does not tolerate losses.
-                    let mut edges = Vec::new();
-                    for i in 0..self.nodes {
-                        for j in 0..self.nodes {
-                            if i != j {
-                                edges.push((i, j));
-                            }
-                        }
-                    }
-                    let lossy = self.kind == ScenarioKind::SyncRounds;
-                    (false, lossy, lossy, true, edges)
-                }
-                _ => {
-                    // Clock channels (`build_dc`) expose a delay policy but
-                    // not drops/duplicates; the paper's reliable-channel
-                    // model stands, so only spikes and clock faults are in
-                    // scope.
-                    let mut edges = Vec::new();
-                    for i in 0..self.nodes {
-                        for j in 0..self.nodes {
-                            if i != j {
-                                edges.push((i, j));
-                            }
-                        }
-                    }
-                    (true, false, false, true, edges)
-                }
+        let beats = u32::try_from(self.horizon_ns / self.period_ns.max(1))
+            .unwrap_or(u32::MAX)
+            .saturating_add(1);
+        let (allow_clock, allow_drop, allow_dup, allow_spike, edges, max_seq) = match self.kind {
+            kind if kind.is_heartbeat() => (false, true, true, true, hb_shape(kind).edges, beats),
+            ScenarioKind::ClockFleet
+            | ScenarioKind::ClockFleetLarge
+            | ScenarioKind::Mutex
+            | ScenarioKind::MutexContended => (true, false, false, false, vec![], 0),
+            // Sync nodes run *drifting* clocks, not plan-scripted ones, so
+            // clock faults are out of scope; the adversary owns the
+            // channels instead. Drops and duplicates are granted only to
+            // the fault-resistant rounds variant — the plain probe
+            // scenario's grace budget does not tolerate losses. Each
+            // node's shared id counter covers its probes *and* echoes: per
+            // round, `burst` probes to each peer plus up to as many echoes
+            // back.
+            ScenarioKind::SyncProbe | ScenarioKind::SyncRounds => {
+                let lossy = self.kind == ScenarioKind::SyncRounds;
+                let per_round =
+                    (2 * self.ops_per_node).saturating_mul(self.nodes.saturating_sub(1));
+                let edges = complete_edges(self.nodes);
+                (
+                    false,
+                    lossy,
+                    lossy,
+                    true,
+                    edges,
+                    beats.saturating_mul(per_round),
+                )
             }
-        };
-        let max_seq = if self.kind.is_heartbeat() {
-            (self.horizon_ns / self.period_ns.max(1)) as u32 + 1
-        } else {
-            match self.kind {
-                ScenarioKind::Register | ScenarioKind::RegisterTriple | ScenarioKind::Counter => {
-                    self.ops_per_node * 2 + 2
-                }
-                // Each node's shared id counter covers its probes *and*
-                // echoes: per round, `burst` probes to each peer plus up
-                // to as many echoes back.
-                ScenarioKind::SyncProbe | ScenarioKind::SyncRounds => {
-                    let rounds = (self.horizon_ns / self.period_ns.max(1)) as u32 + 1;
-                    rounds * 2 * self.ops_per_node * (self.nodes - 1)
-                }
-                _ => 0,
+            // Clock channels (`build_dc`) expose a delay policy but not
+            // drops/duplicates; the paper's reliable-channel model stands,
+            // so only spikes and clock faults are in scope.
+            _ => {
+                let max_seq = self.ops_per_node.saturating_mul(2).saturating_add(2);
+                (
+                    true,
+                    false,
+                    false,
+                    true,
+                    complete_edges(self.nodes),
+                    max_seq,
+                )
             }
         };
         FaultEnvelope {
@@ -515,6 +430,75 @@ impl ScenarioConfig {
             allow_dup,
             allow_spike,
         }
+    }
+
+    /// Range-checks a config that came from outside the program (a replay
+    /// artifact): what the factories would otherwise assert, divide by,
+    /// index with or overflow on.
+    ///
+    /// # Errors
+    ///
+    /// The first condition found broken.
+    pub fn validate(&self) -> Result<(), String> {
+        /// One hour, and a count that keeps a time × count product in `i64`.
+        const MAX_NS: i64 = 3_600_000_000_000;
+        const MAX_COUNT: i64 = 1_000_000;
+        let need = |ok: bool, what: &str| {
+            ok.then_some(())
+                .ok_or_else(|| format!("scenario config out of range: need {what}"))
+        };
+        for (field, value, max) in [
+            ("d1_ns", self.d1_ns, MAX_NS),
+            ("d2_ns", self.d2_ns, MAX_NS),
+            ("eps_ns", self.eps_ns, MAX_NS),
+            ("horizon_ns", self.horizon_ns, MAX_NS),
+            ("period_ns", self.period_ns, MAX_NS),
+            ("bug_extra_ns", self.bug_extra_ns, MAX_NS),
+            ("crash_at_ns", self.crash_at_ns.unwrap_or(0), MAX_NS),
+            ("restart_at_ns", self.restart_at_ns.unwrap_or(0), MAX_NS),
+            ("max_drops", i64::from(self.max_drops), MAX_COUNT),
+            ("ops_per_node", i64::from(self.ops_per_node), MAX_COUNT),
+            ("drift_ppm", self.drift_ppm, MAX_COUNT),
+        ] {
+            need(
+                (0..=max).contains(&value),
+                &format!("0 <= {field} <= {max}"),
+            )?;
+        }
+        need(self.d1_ns <= self.d2_ns, "d1_ns <= d2_ns")?;
+        need(self.horizon_ns > 0, "horizon_ns > 0")?;
+        // Per family: the node count its topology indexes, and whether a
+        // beater, beeper, slot or round runs off `period_ns` (`D_C`'s
+        // closed loop paces itself).
+        let (nodes_ok, periodic) = match self.kind {
+            kind if kind.is_heartbeat() => (self.nodes == hb_shape(kind).nodes(), true),
+            ScenarioKind::ClockFleet | ScenarioKind::ClockFleetLarge => (self.nodes >= 1, true),
+            ScenarioKind::Mutex | ScenarioKind::MutexContended => {
+                need(
+                    self.period_ns > 2 * self.eps_ns,
+                    "period_ns > 2 * eps_ns (a slot wider than its guards)",
+                )?;
+                (self.nodes >= 1, true)
+            }
+            ScenarioKind::SyncProbe | ScenarioKind::SyncRounds => {
+                need(self.eps_ns > 0, "eps_ns > 0")?;
+                need(
+                    self.ops_per_node >= 1,
+                    "ops_per_node >= 1 (the probe burst)",
+                )?;
+                need(
+                    ns(self.period_ns) > sync_params(self, 0).timeout(),
+                    "period_ns above the certification timeout 2*d2 + 4*eps + 1 ms",
+                )?;
+                (self.nodes >= 2, true)
+            }
+            _ => (self.nodes >= 2, false),
+        };
+        need(
+            nodes_ok && self.nodes <= MAX_NODES,
+            &format!("a node count the kind's topology admits (at most {MAX_NODES})"),
+        )?;
+        need(!periodic || self.period_ns > 0, "period_ns > 0")
     }
 
     /// The declared delay bounds `[d₁, d₂]`.
@@ -653,29 +637,11 @@ pub fn fingerprint<A: Action>(exec: &Execution<A>) -> u64 {
 
 const CASE_MAX_EVENTS: usize = 250_000;
 
-/// A judge's result: the oracle verdicts plus the deterministic judging
-/// metrics (`monitor.checks`, `monitor.violations`) that
-/// [`finish_case`] folds into the case's hub.
-pub(crate) type JudgeVerdicts = (Vec<(String, String)>, MetricsSnapshot);
+/// The widest topology a config may ask for: complete graphs cost `n²`
+/// channels, and the counter's payloads are `10^node`.
+const MAX_NODES: u32 = 16;
 
-/// Judges a finished run against an oracle set, sequentially on the
-/// calling thread (campaign parallelism is across cases, not oracles).
-/// An engine error short-circuits to a single `engine` violation with
-/// empty metrics.
-fn judge<A: Action + Send + Sync>(
-    oracles: &[Box<dyn Oracle<A>>],
-    run: &Result<Run<A>, String>,
-) -> JudgeVerdicts {
-    match run {
-        Ok(run) => check_all_sharded(oracles, &run.execution, 1),
-        Err(e) => (
-            vec![("engine".into(), e.clone())],
-            MetricsSnapshot::default(),
-        ),
-    }
-}
-
-/// A typed runner's result: the raw engine run (or its error), the
+/// [`run_scenario`]'s result: the raw engine run (or its error), the
 /// oracles' `(name, violation)` verdicts, the number of clock-script
 /// requests the C1–C4 guard clamped (always 0 for the timed-model
 /// scenario), and the metrics collected by the attached observers.
@@ -691,54 +657,331 @@ pub struct Judged<A: Action> {
     pub metrics: MetricsSnapshot,
 }
 
-/// Folds one [`FaultChannel`]'s fault counters into a hub snapshot under
-/// the `channel.*` names.
-fn merge_fault_stats(hub: &MetricsHub, stats: &FaultStats) {
-    hub.add("channel.sends", stats.sends());
-    hub.add("channel.delivered", stats.delivered());
-    hub.add("channel.dropped", stats.dropped());
-    hub.add("channel.duplicated", stats.duplicated());
-    hub.add("channel.spiked", stats.spiked());
+/// Collapses a typed result into the kind-erased [`CaseOutcome`] the
+/// exploration loop stores and compares.
+impl<A: Action> From<Judged<A>> for CaseOutcome {
+    fn from(judged: Judged<A>) -> CaseOutcome {
+        let (events, fingerprint) = match &judged.run {
+            Ok(r) => (r.execution.len(), fingerprint(&r.execution)),
+            Err(_) => (0, 0),
+        };
+        CaseOutcome {
+            violations: judged.violations,
+            events,
+            rejected_clock_requests: judged.rejected_clock_requests,
+            fingerprint,
+            metrics: judged.metrics,
+        }
+    }
+}
+
+/// What a family hands [`run_scenario`] to run: the system's components
+/// on a builder, plus what observes and counts the run from outside the
+/// engine.
+pub struct CaseParts<A: Action> {
+    /// Every component of the system under test. The runner adds the
+    /// engine observer, the scheduler, the horizon and the event cap.
+    pub builder: EngineBuilder<A>,
+    /// The case's metrics. A family attaches what only it can (the
+    /// per-channel delay observer exists for `SysAction` systems alone).
+    pub hub: MetricsHub,
+    /// The fault channels' counters, one per edge, in wiring order.
+    pub fault_stats: Vec<FaultStats>,
+    /// Scripted-clock rejection handles, one per plan-scripted clock.
+    pub rejections: Vec<Rc<Cell<u64>>>,
+}
+
+impl<A: Action> CaseParts<A> {
+    /// Parts with a fresh hub and no outside counters.
+    #[must_use]
+    pub fn new(builder: EngineBuilder<A>) -> Self {
+        CaseParts {
+            builder,
+            hub: MetricsHub::new(),
+            fault_stats: Vec::new(),
+            rejections: Vec::new(),
+        }
+    }
+}
+
+/// One scenario family: how its system is built from the contents of a
+/// replay artifact, and which oracles judge a run of it. Every item is a
+/// pure function of `(config, plan, seed)`; [`run_scenario`] is the one
+/// pipeline that runs a family, so a new family is this impl, its
+/// `CATALOG` rows and its arm in [`run_case`].
+pub trait Scenario {
+    /// The system's action alphabet.
+    type Action: Action + Send + Sync;
+
+    /// The run must go quiescent before the horizon (a closed-loop
+    /// workload that has to drain); if it does not, the case reports a
+    /// `liveness` violation ahead of the oracles' verdicts.
+    const MUST_DRAIN: bool = false;
+
+    /// Decorrelates the tie-breaking scheduler's stream from a family's
+    /// other users of the case seed.
+    const SCHEDULER_SALT: u64 = 0;
+
+    /// The system under test.
+    fn parts(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64) -> CaseParts<Self::Action>;
+
+    /// The properties with an incremental form, written once: fed by an
+    /// [`OnlineJudge`] while the case runs, or folded over the recorded
+    /// execution afterwards. Their verdicts come first.
+    fn stream_oracles(
+        _cfg: &ScenarioConfig,
+        _plan: &FaultPlan,
+    ) -> Vec<Box<dyn StreamOracle<Self::Action>>> {
+        Vec::new()
+    }
+
+    /// The whole-execution oracles (linearizability, `C_ε`, Lemma 2.1
+    /// replays, …), judged post-hoc only.
+    fn oracles(cfg: &ScenarioConfig, seed: u64) -> Vec<Box<dyn Oracle<Self::Action>>>;
+
+    /// Publishes what the family measures on a finished run into `hub`.
+    fn publish(_cfg: &ScenarioConfig, _exec: &Execution<Self::Action>, _hub: &MetricsHub) {}
 }
 
 /// A case's engine plus the observation handles the post-run accounting
-/// needs — the common shape the post-hoc runners and the online driver
-/// share. The engine observers are attached with checkpoint counters
-/// suppressed, so the restart scenario's checkpointed run has metrics
-/// bit-identical to a straight run's.
+/// needs. The engine observer is attached with checkpoint counters
+/// suppressed, so a run across the restart seam has metrics bit-identical
+/// to a straight run's.
 pub(crate) struct BuiltCase<A: Action> {
     pub(crate) engine: Engine<A>,
     pub(crate) hub: MetricsHub,
-    /// The fault channels' counters (heartbeat family; one per edge, in
-    /// topology-shape order).
-    pub(crate) fault_stats: Vec<FaultStats>,
-    /// Scripted-clock rejection handles, one per clock node.
-    pub(crate) rejections: Vec<Rc<Cell<u64>>>,
+    fault_stats: Vec<FaultStats>,
+    rejections: Vec<Rc<Cell<u64>>>,
 }
 
-/// Post-run accounting shared by every scenario kind: fold fault stats,
-/// clamped-clock counts, and the judge's own metrics into the hub (in the
-/// same order the original monolithic runners did) and snapshot.
-pub(crate) fn finish_case<A: Action>(
-    built: &BuiltCase<A>,
-    judged: JudgeVerdicts,
-    run: Result<Run<A>, String>,
-) -> Judged<A> {
-    let (violations, judge_metrics) = judged;
-    for stats in &built.fault_stats {
-        merge_fault_stats(&built.hub, stats);
+/// Builds a family's case engine (without running it): its parts, the
+/// engine observer, optionally an [`OnlineJudge`]'s observer — read-only
+/// like every other observer, so attaching it never changes the produced
+/// execution — then the plan's scheduler, the horizon and the event cap.
+pub(crate) fn assemble<S: Scenario>(
+    cfg: &ScenarioConfig,
+    plan: &FaultPlan,
+    seed: u64,
+    judge: Option<&OnlineJudge<S::Action>>,
+) -> BuiltCase<S::Action> {
+    let parts = S::parts(cfg, plan, seed);
+    let mut builder = parts
+        .builder
+        .observer(parts.hub.engine_observer().without_checkpoint_counters());
+    if let Some(judge) = judge {
+        builder = builder.observer(judge.observer());
     }
-    let rejected: u64 = built.rejections.iter().map(|h| h.get()).sum();
-    if !built.rejections.is_empty() {
-        built.hub.add("clock.rejected_requests", rejected);
+    let engine = builder
+        .scheduler(BiasedScheduler::new(plan, seed ^ S::SCHEDULER_SALT))
+        .horizon(at_ns(cfg.horizon_ns))
+        .max_events(CASE_MAX_EVENTS)
+        .build();
+    BuiltCase {
+        engine,
+        hub: parts.hub,
+        fault_stats: parts.fault_stats,
+        rejections: parts.rejections,
     }
-    built.hub.absorb(&judge_metrics);
+}
+
+/// Runs one case of family `S` and judges it — the one pipeline every
+/// kind takes: build, drive, judge, account.
+///
+/// *Drive.* Straight to the horizon; or, where the config carries a
+/// `restart_at_ns` seam, to the seam, through [`Engine::checkpoint`] into
+/// a freshly built engine, and on to the horizon — by Lemma 2.1 (pasting)
+/// the recorded execution, and therefore every verdict and the
+/// fingerprint, is bit-identical to an uninterrupted run, and so are the
+/// metrics when the seam is an instant the run stops at anyway (the
+/// catalog's is a heartbeat tick); or, where `online` is set, the family
+/// has stream oracles and there is no seam, in `ONLINE_CHUNK`-event steps
+/// under an [`OnlineJudge`], stopping the moment a violation is certain.
+/// Every other `online` case is judged post-hoc: this is where the
+/// fallback lives.
+///
+/// *Judge.* A short-circuited case reports its one certain violation
+/// (and bumps `monitor.short_circuits`); an online case that reaches its
+/// natural stop reports the stream verdicts. A post-hoc case folds the
+/// same stream oracles over the recorded slice, then checks the
+/// whole-execution oracles, and a [`Scenario::MUST_DRAIN`] family's
+/// `liveness` verdict goes in front. An engine error is the single
+/// `engine` violation.
+///
+/// *Account.* The judging work (`monitor.checks`, `monitor.violations`),
+/// the fault-channel counters and the clamped clock requests go into the
+/// case's hub, whose snapshot — ordered by name — is the case's metrics.
+pub fn run_scenario<S: Scenario>(
+    cfg: &ScenarioConfig,
+    plan: &FaultPlan,
+    seed: u64,
+    online: bool,
+) -> Judged<S::Action> {
+    let mut streams = S::stream_oracles(cfg, plan);
+    let stream_checks = streams.len() as u64;
+    let judge = (online && cfg.restart_at_ns.is_none() && !streams.is_empty())
+        .then(|| OnlineJudge::new(std::mem::take(&mut streams)));
+    let mut case = assemble::<S>(cfg, plan, seed, judge.as_ref());
+
+    let driven = if let Some(judge) = &judge {
+        let mut pause_at = ONLINE_CHUNK;
+        loop {
+            match case.engine.run_until_events(pause_at) {
+                Ok(run) if run.stop == StopReason::Paused && judge.certain().is_none() => {
+                    pause_at = run.execution.len() + ONLINE_CHUNK;
+                }
+                stopped => break stopped,
+            }
+        }
+    } else if let Some(seam) = cfg.restart_at_ns {
+        match case.engine.run_until(at_ns(seam)) {
+            Ok(reached) if reached.stop == StopReason::Horizon => {
+                // The "restarted process": a fresh engine built from the
+                // same artifact inputs, with the snapshot — and the
+                // counters that live outside the engine — poured back in.
+                // restore() also restores the captured horizon (the
+                // seam), so the final horizon is re-armed explicitly.
+                let mut before = case;
+                case = assemble::<S>(cfg, plan, seed, None);
+                case.engine.restore(&before.engine.checkpoint());
+                case.hub.restore(&before.hub.snapshot());
+                for (stats, old) in case.fault_stats.iter().zip(&before.fault_stats) {
+                    stats.set_values(old.values());
+                }
+                for (count, old) in case.rejections.iter().zip(&before.rejections) {
+                    count.set(old.get());
+                }
+                case.engine.run_until(at_ns(cfg.horizon_ns))
+            }
+            // Stopped before the seam (quiescent or capped): nothing to
+            // restart; judge what was recorded.
+            stopped_early => stopped_early,
+        }
+    } else {
+        case.engine.run()
+    };
+    let run = driven.map_err(|e| e.to_string());
+
+    let mut violations = Vec::new();
+    match &run {
+        Err(e) => violations.push(("engine".to_string(), e.clone())),
+        Ok(run) => {
+            S::publish(cfg, &run.execution, &case.hub);
+            match &judge {
+                Some(judge) if run.stop == StopReason::Paused => {
+                    case.hub.add("monitor.short_circuits", 1);
+                    violations.push(
+                        judge
+                            .certain()
+                            .expect("the online driver only pauses on a certain violation"),
+                    );
+                }
+                Some(judge) => violations = judge.finish(at_ns(cfg.horizon_ns)),
+                None => {
+                    for stream in &mut streams {
+                        if let Verdict::Violated(why) = fold(&mut **stream, &run.execution) {
+                            violations.push((stream.name(), why));
+                        }
+                    }
+                }
+            }
+            case.hub.add("monitor.checks", stream_checks);
+            case.hub.add("monitor.violations", violations.len() as u64);
+            if judge.is_none() {
+                let (whole, judging) = check_all_sharded(&S::oracles(cfg, seed), &run.execution, 1);
+                violations.extend(whole);
+                case.hub.absorb(&judging);
+                if S::MUST_DRAIN && run.stop != StopReason::Quiescent {
+                    let why = format!("workload did not finish by the horizon ({:?})", run.stop);
+                    violations.insert(0, ("liveness".to_string(), why));
+                }
+            }
+        }
+    }
+
+    for stats in &case.fault_stats {
+        case.hub.add("channel.sends", stats.sends());
+        case.hub.add("channel.delivered", stats.delivered());
+        case.hub.add("channel.dropped", stats.dropped());
+        case.hub.add("channel.duplicated", stats.duplicated());
+        case.hub.add("channel.spiked", stats.spiked());
+    }
+    let rejected: u64 = case.rejections.iter().map(|h| h.get()).sum();
+    if !case.rejections.is_empty() {
+        case.hub.add("clock.rejected_requests", rejected);
+    }
     Judged {
         run,
         violations,
         rejected_clock_requests: rejected,
-        metrics: built.hub.snapshot(),
+        metrics: case.hub.snapshot(),
     }
+}
+
+/// One Lemma 2.1 replay oracle: `replay` re-runs a rebuilt component
+/// against the recorded execution (`replay_timed` / `replay_clock`), and
+/// a divergence is reported under `failed`.
+fn replay_oracle<A: Action>(
+    name: impl Into<String>,
+    failed: &'static str,
+    replay: impl Fn(&Execution<A>) -> Result<usize, ReplayError> + Send + Sync + 'static,
+) -> Box<dyn Oracle<A>> {
+    Box::new(FnOracle::new(
+        name,
+        move |exec: &Execution<A>| match replay(exec) {
+            Ok(_) => Verdict::Holds,
+            Err(e) => Verdict::violated(format!("{failed}: {e}")),
+        },
+    ))
+}
+
+const TIMED_REPLAY_FAILED: &str = "Lemma 2.1 replay failed";
+const CLOCK_REPLAY_FAILED: &str = "Lemma 2.1 clock replay failed";
+
+/// Every directed pair of `0..n`, the edge set of a complete graph.
+fn complete_edges(n: u32) -> Vec<(u32, u32)> {
+    (0..n)
+        .flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j)))
+        .collect()
+}
+
+/// Wires one plan-driven [`FaultChannel`] per edge onto `builder`, each
+/// fault first passed through `adjust`: parts whose hub records
+/// per-channel delivery delays and whose `fault_stats` are the channels'
+/// counters in edge order. The seeded bug widens the channels' *internal*
+/// bounds so the stretch passes the channel's own assert; the oracles
+/// keep judging against the declared envelope, which is exactly how they
+/// catch it.
+fn plan_channels<M, O>(
+    builder: EngineBuilder<SysAction<M, O>>,
+    cfg: &ScenarioConfig,
+    plan: &FaultPlan,
+    seed: u64,
+    edges: &[(u32, u32)],
+    adjust: impl Fn(PlanChannelFault) -> PlanChannelFault,
+) -> CaseParts<SysAction<M, O>>
+where
+    M: Clone + Eq + Hash + Debug + 'static,
+    O: Action,
+{
+    let declared = cfg.bounds();
+    let bug = ns(cfg.bug_extra_ns);
+    let actual = DelayBounds::new(declared.min(), declared.max() + bug)
+        .expect("widened bounds stay ordered");
+    let mut parts = CaseParts::new(builder);
+    for &(src, dst) in edges {
+        let fault = adjust(PlanChannelFault::new(plan, src, dst, seed, declared, bug));
+        let channel = FaultChannel::<M, O>::new(
+            NodeId(src as usize),
+            NodeId(dst as usize),
+            actual,
+            MaxDelay,
+            fault,
+        );
+        parts.fault_stats.push(channel.stats());
+        parts.builder = parts.builder.timed(channel);
+    }
+    parts.builder = parts.builder.observer(parts.hub.channel_delay_observer());
+    parts
 }
 
 /// Topology of one heartbeat-family scenario: which channels exist, who
@@ -755,6 +998,13 @@ pub(crate) struct HbShape {
     pub(crate) relay: Option<(u32, u32)>,
     /// Which node a scripted crash (if the config has one) hits.
     pub(crate) crash_node: u32,
+}
+
+impl HbShape {
+    /// The node count the topology spans.
+    fn nodes(&self) -> u32 {
+        1 + self.edges.iter().map(|&(s, d)| s.max(d)).max().unwrap_or(0)
+    }
 }
 
 pub(crate) fn hb_shape(kind: ScenarioKind) -> HbShape {
@@ -952,242 +1202,122 @@ impl TimedComponent for HeartbeatRelay {
     }
 }
 
-/// The relay instance a config deploys (and its replay oracle rebuilds).
-fn relay_component(cfg: &ScenarioConfig, me: u32, to: u32) -> HeartbeatRelay {
-    let relay = HeartbeatRelay::new(NodeId(me as usize), NodeId(to as usize));
-    if cfg.canary == Some(CanaryKind::RelayLifoHeal) {
-        relay.with_lifo_stall(at_ns(RELAY_STALL_NS.0), at_ns(RELAY_STALL_NS.1))
-    } else {
-        relay
-    }
-}
+/// The heartbeaters, relay and monitors a config deploys — and its
+/// Lemma 2.1 replays rebuild — each beside the node it runs on.
+type HbComponents = (
+    Vec<(u32, Heartbeater)>,
+    Option<HeartbeatRelay>,
+    Vec<(u32, Monitor)>,
+);
 
-/// Builds a heartbeat-family case's engine (without running it).
-fn build_heartbeat(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64) -> BuiltCase<FdAction> {
-    build_heartbeat_with(cfg, plan, seed, None)
-}
-
-/// [`build_heartbeat`], optionally attaching an [`OnlineJudge`]'s
-/// observer so stream oracles see every event as it is recorded. The
-/// judge observer is read-only like every other observer: attaching it
-/// never changes the produced execution.
-pub(crate) fn build_heartbeat_with(
-    cfg: &ScenarioConfig,
-    plan: &FaultPlan,
-    seed: u64,
-    online: Option<&OnlineJudge<FdAction>>,
-) -> BuiltCase<FdAction> {
-    let shape = hb_shape(cfg.kind);
-    let declared = cfg.bounds();
-    // The seeded bug widens the channel's *internal* bounds so the stretch
-    // passes the channel's own assert; the oracles keep judging against
-    // the declared envelope, which is exactly how they catch it.
-    let actual = DelayBounds::new(declared.min(), declared.max() + ns(cfg.bug_extra_ns))
-        .expect("widened bounds stay ordered");
+fn hb_components(cfg: &ScenarioConfig, shape: &HbShape) -> HbComponents {
+    let node = |i: u32| NodeId(i as usize);
     let period = ns(cfg.period_ns);
     let params = monitor_params(cfg, shape.relay.is_some());
-    let hub = MetricsHub::new();
-
-    let mut builder = Engine::builder();
-    for &(src, dst) in &shape.beaters {
-        builder = builder.timed(Heartbeater::new(
-            NodeId(src as usize),
-            NodeId(dst as usize),
-            period,
-        ));
-    }
-    if let Some((me, to)) = shape.relay {
-        builder = builder.timed(relay_component(cfg, me, to));
-    }
-    let mut fault_stats = Vec::new();
-    for &(src, dst) in &shape.edges {
-        let mut fault = PlanChannelFault::new(plan, src, dst, seed, declared, ns(cfg.bug_extra_ns));
-        if cfg.kind == ScenarioKind::HeartbeatGray {
-            fault = fault.with_gray_windows(period * 4, period * 2);
-        }
-        if cfg.canary == Some(CanaryKind::DuplicateDelivery) {
-            fault = fault.with_duplicate_all();
-        }
-        let channel = FaultChannel::<Heartbeat, FdOp>::new(
-            NodeId(src as usize),
-            NodeId(dst as usize),
-            actual,
-            MaxDelay,
-            fault,
-        );
-        fault_stats.push(channel.stats());
-        builder = builder.timed(channel);
-    }
-    for &(node, target) in &shape.monitors {
-        builder = builder.timed(Monitor::new(
-            NodeId(node as usize),
-            NodeId(target as usize),
-            params,
-        ));
-    }
-    if let Some(crash) = cfg.crash_at_ns {
-        builder = builder.timed(Script::<Heartbeat, FdOp>::new(
-            [(
-                at_ns(crash),
-                FdOp::Crash {
-                    node: NodeId(shape.crash_node as usize),
-                },
-            )],
-            |_| false,
-        ));
-    }
-    builder = builder
-        .observer(hub.engine_observer().without_checkpoint_counters())
-        .observer(hub.channel_delay_observer());
-    if let Some(judge) = online {
-        builder = builder.observer(judge.observer());
-    }
-    let engine = builder
-        .scheduler(BiasedScheduler::new(plan, seed))
-        .horizon(at_ns(cfg.horizon_ns))
-        .max_events(CASE_MAX_EVENTS)
-        .build();
-    BuiltCase {
-        engine,
-        hub,
-        fault_stats,
-        rejections: Vec::new(),
-    }
-}
-
-/// Runs one heartbeat-family case: returns the raw engine run and the
-/// oracle verdicts. Public (rather than folded into [`run_case`]) so
-/// tests can compare whole [`Execution`]s across replays.
-///
-/// # Panics
-///
-/// Panics if the config is not a heartbeat-family config (the restart
-/// variant has its own runner, [`run_heartbeat_restart`]).
-pub fn run_heartbeat(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64) -> Judged<FdAction> {
-    assert!(cfg.kind.is_heartbeat() && cfg.kind != ScenarioKind::HeartbeatRestart);
-    let mut built = build_heartbeat(cfg, plan, seed);
-    let run = built.engine.run().map_err(|e| e.to_string());
-    let verdicts = judge(&heartbeat_oracles(cfg, plan), &run);
-    finish_case(&built, verdicts, run)
-}
-
-/// Runs one crash-recovery case: drives the engine to the restart seam,
-/// snapshots it ([`Engine::checkpoint`]), restores the snapshot into a
-/// freshly built engine, and drives that one to the horizon. By
-/// Lemma 2.1 (pasting), the recorded execution — and therefore every
-/// oracle verdict, the fingerprint, and the metrics — is bit-identical
-/// to an uninterrupted run; this runner is the catalog's executable
-/// witness of that, exercised under every fault plan a campaign throws
-/// at it.
-///
-/// # Panics
-///
-/// Panics if the config is not a [`ScenarioKind::HeartbeatRestart`]
-/// config.
-pub fn run_heartbeat_restart(
-    cfg: &ScenarioConfig,
-    plan: &FaultPlan,
-    seed: u64,
-) -> Judged<FdAction> {
-    assert_eq!(cfg.kind, ScenarioKind::HeartbeatRestart);
-    let seam = cfg
-        .restart_at_ns
-        .expect("restart scenario carries a seam time");
-    let mut first = build_heartbeat(cfg, plan, seed);
-    let run1 = first
-        .engine
-        .run_until(at_ns(seam))
-        .map_err(|e| e.to_string());
-    match run1 {
-        Ok(r) if r.stop == StopReason::Horizon => {
-            let checkpoint = first.engine.checkpoint();
-            let metrics = first.hub.snapshot();
-            let fault_values: Vec<[u64; 5]> =
-                first.fault_stats.iter().map(FaultStats::values).collect();
-            // The "restarted process": a fresh engine built from the same
-            // artifact inputs, with the snapshot poured back in. restore()
-            // also restores the captured horizon (the seam), so the final
-            // horizon is re-armed explicitly.
-            let mut second = build_heartbeat(cfg, plan, seed);
-            second.engine.restore(&checkpoint);
-            second.hub.restore(&metrics);
-            for (stats, values) in second.fault_stats.iter().zip(&fault_values) {
-                stats.set_values(*values);
+    (
+        shape
+            .beaters
+            .iter()
+            .map(|&(src, dst)| (src, Heartbeater::new(node(src), node(dst), period)))
+            .collect(),
+        shape.relay.map(|(me, to)| {
+            let relay = HeartbeatRelay::new(node(me), node(to));
+            if cfg.canary == Some(CanaryKind::RelayLifoHeal) {
+                relay.with_lifo_stall(at_ns(RELAY_STALL_NS.0), at_ns(RELAY_STALL_NS.1))
+            } else {
+                relay
             }
-            let run = second
-                .engine
-                .run_until(at_ns(cfg.horizon_ns))
-                .map_err(|e| e.to_string());
-            let verdicts = judge(&heartbeat_oracles(cfg, plan), &run);
-            finish_case(&second, verdicts, run)
-        }
-        run => {
-            // Stopped before the seam (quiescent or capped): nothing to
-            // restart; judge what was recorded.
-            let verdicts = judge(&heartbeat_oracles(cfg, plan), &run);
-            finish_case(&first, verdicts, run)
-        }
-    }
+        }),
+        shape
+            .monitors
+            .iter()
+            .map(|&(me, target)| (me, Monitor::new(node(me), node(target), params)))
+            .collect(),
+    )
 }
 
-/// The heartbeat family's oracle set (shared with conformance-style
-/// sweeps via the [`Oracle`] trait): the three stream oracles of
-/// [`heartbeat_stream_oracles`] folded over the recorded execution, then
-/// the Lemma 2.1 replays.
-#[must_use]
-pub fn heartbeat_oracles(cfg: &ScenarioConfig, plan: &FaultPlan) -> Vec<Box<dyn Oracle<FdAction>>> {
-    let mut oracles: Vec<Box<dyn Oracle<FdAction>>> = heartbeat_stream_oracles(cfg, plan)
-        .iter()
-        .enumerate()
-        .map(|(k, stream)| {
-            // Each check rebuilds the set and keeps entry `k`: building
-            // is one scan of the plan, and it keeps this list and the
-            // online judge's on one constructor.
-            let (cfg, plan) = (cfg.clone(), plan.clone());
-            Box::new(FoldOracle::new(stream.name(), move || {
-                heartbeat_stream_oracles(&cfg, &plan).swap_remove(k)
-            })) as Box<dyn Oracle<FdAction>>
-        })
-        .collect();
+/// The heartbeat family — the timed model: heartbeaters, plan-driven
+/// [`FaultChannel`]s, monitors, and (optionally) scripted crashes, in the
+/// topology `hb_shape` gives the kind. Variants add a crash
+/// ([`ScenarioKind::HeartbeatCrash`]), a crash-recovery seam replayed
+/// through `Engine::checkpoint`/`restore`
+/// ([`ScenarioKind::HeartbeatRestart`], Lemma 2.1 as an executable test),
+/// an intermittently slow gray channel ([`ScenarioKind::HeartbeatGray`]),
+/// a symmetric two-way pair ([`ScenarioKind::HeartbeatBidi`]), a
+/// three-node relay line ([`ScenarioKind::Relay`]), and a partitioned
+/// four-node topology ([`ScenarioKind::Partition`]).
+pub struct HeartbeatFamily;
 
-    let shape = hb_shape(cfg.kind);
-    let params = monitor_params(cfg, shape.relay.is_some());
-    for &(node, target) in &shape.monitors {
-        oracles.push(Box::new(FnOracle::new(
-            format!("replay(monitor {node})"),
-            move |exec: &Execution<FdAction>| match replay_timed(
-                Monitor::new(NodeId(node as usize), NodeId(target as usize), params),
-                exec,
-            ) {
-                Ok(_) => Verdict::Holds,
-                Err(e) => Verdict::violated(format!("Lemma 2.1 replay failed: {e}")),
-            },
-        )));
+impl Scenario for HeartbeatFamily {
+    type Action = FdAction;
+
+    fn parts(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64) -> CaseParts<FdAction> {
+        let shape = hb_shape(cfg.kind);
+        let (beaters, relay, monitors) = hb_components(cfg, &shape);
+        let mut builder = Engine::builder();
+        for (_, beater) in beaters {
+            builder = builder.timed(beater);
+        }
+        if let Some(relay) = relay {
+            builder = builder.timed(relay);
+        }
+        let period = ns(cfg.period_ns);
+        let mut parts = plan_channels(builder, cfg, plan, seed, &shape.edges, |mut fault| {
+            if cfg.kind == ScenarioKind::HeartbeatGray {
+                fault = fault.with_gray_windows(period * 4, period * 2);
+            }
+            if cfg.canary == Some(CanaryKind::DuplicateDelivery) {
+                fault = fault.with_duplicate_all();
+            }
+            fault
+        });
+        for (_, monitor) in monitors {
+            parts.builder = parts.builder.timed(monitor);
+        }
+        if let Some(crash) = cfg.crash_at_ns {
+            parts.builder = parts.builder.timed(Script::<Heartbeat, FdOp>::new(
+                [(
+                    at_ns(crash),
+                    FdOp::Crash {
+                        node: NodeId(shape.crash_node as usize),
+                    },
+                )],
+                |_| false,
+            ));
+        }
+        parts
     }
-    let period = ns(cfg.period_ns);
-    for &(src, dst) in &shape.beaters {
-        oracles.push(Box::new(FnOracle::new(
-            format!("replay(heartbeater {src})"),
-            move |exec: &Execution<FdAction>| match replay_timed(
-                Heartbeater::new(NodeId(src as usize), NodeId(dst as usize), period),
-                exec,
-            ) {
-                Ok(_) => Verdict::Holds,
-                Err(e) => Verdict::violated(format!("Lemma 2.1 replay failed: {e}")),
-            },
-        )));
+
+    /// The `[d₁, d₂]` delivery envelope, per-edge FIFO order, and
+    /// per-pair failure-detector accuracy and completeness (hop-aware
+    /// detection bounds).
+    fn stream_oracles(
+        cfg: &ScenarioConfig,
+        plan: &FaultPlan,
+    ) -> Vec<Box<dyn StreamOracle<FdAction>>> {
+        heartbeat_stream_oracles(cfg, plan)
     }
-    if let Some((me, to)) = shape.relay {
-        let relay = relay_component(cfg, me, to);
-        oracles.push(Box::new(FnOracle::new(
-            "replay(relay)",
-            move |exec: &Execution<FdAction>| match replay_timed(relay.clone(), exec) {
-                Ok(_) => Verdict::Holds,
-                Err(e) => Verdict::violated(format!("Lemma 2.1 replay failed: {e}")),
-            },
-        )));
+
+    /// Lemma 2.1 replays of every monitor, heartbeater and the relay.
+    fn oracles(cfg: &ScenarioConfig, _seed: u64) -> Vec<Box<dyn Oracle<FdAction>>> {
+        fn replayed<C>(name: String, component: C) -> Box<dyn Oracle<FdAction>>
+        where
+            C: TimedComponent<Action = FdAction> + Clone + Send + Sync + 'static,
+        {
+            replay_oracle(name, TIMED_REPLAY_FAILED, move |exec| {
+                replay_timed(component.clone(), exec)
+            })
+        }
+        let (beaters, relay, monitors) = hb_components(cfg, &hb_shape(cfg.kind));
+        let monitors = monitors
+            .into_iter()
+            .map(|(node, monitor)| replayed(format!("replay(monitor {node})"), monitor));
+        let beaters = beaters
+            .into_iter()
+            .map(|(node, beater)| replayed(format!("replay(heartbeater {node})"), beater));
+        let relay = relay.map(|relay| replayed("replay(relay)".to_string(), relay));
+        monitors.chain(beaters).chain(relay).collect()
     }
-    oracles
 }
 
 /// Per-node beep period of the clock fleet (staggered so the fleet's
@@ -1196,207 +1326,138 @@ fn fleet_period(cfg: &ScenarioConfig, node: u32) -> Duration {
     ns(cfg.period_ns + i64::from(node) * 1_000_000)
 }
 
-/// Runs one clock-fleet case. Returns the run, oracle verdicts, and the
-/// number of clock-script requests the C1–C4 guard clamped.
-///
-/// # Panics
-///
-/// Panics if the config is not a clockfleet-family config.
-pub fn run_clockfleet(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64) -> Judged<BeepAction> {
-    assert!(matches!(
-        cfg.kind,
-        ScenarioKind::ClockFleet | ScenarioKind::ClockFleetLarge
-    ));
-    let mut built = build_clockfleet(cfg, plan, seed);
-    let run = built.engine.run().map_err(|e| e.to_string());
-    let verdicts = judge(&clockfleet_oracles(cfg), &run);
-    finish_case(&built, verdicts, run)
-}
-
-/// Builds the clock-fleet case's engine (without running it).
-fn build_clockfleet(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64) -> BuiltCase<BeepAction> {
-    let eps = ns(cfg.eps_ns);
-    let hub = MetricsHub::new();
-    let mut builder = Engine::builder();
-    let mut handles = Vec::new();
-    for i in 0..cfg.nodes {
-        let period = if cfg.canary == Some(CanaryKind::CadenceRush) && i == 0 {
-            fleet_period(cfg, 0) - Duration::from_millis(1)
-        } else {
-            fleet_period(cfg, i)
-        };
-        if cfg.canary == Some(CanaryKind::SkewBeyondEps) && i == 0 {
-            // The planted bug: node 0's clock runs 1 ms beyond the
-            // declared ε. Its ClockNode is registered with a widened
-            // envelope so the engine guard lets the readings through —
-            // the C_ε oracle still judges against the declared ε.
-            let widened = eps + Duration::from_millis(2);
-            builder = builder.clock_node(
-                ClockNode::new(
-                    "n0".to_string(),
-                    widened,
-                    OffsetClock::new(eps + Duration::from_millis(1), widened),
-                )
-                .with(ClockBeeper::with_src(period, 0)),
-            );
-            continue;
-        }
-        let clock = scripted_clock_for(plan, i);
-        handles.push(clock.rejections());
-        builder = builder.clock_node(
-            ClockNode::new(format!("n{i}"), eps, clock).with(ClockBeeper::with_src(period, i)),
-        );
-    }
-    let engine = builder
-        .observer(hub.engine_observer().without_checkpoint_counters())
-        .scheduler(BiasedScheduler::new(plan, seed))
-        .horizon(at_ns(cfg.horizon_ns))
-        .max_events(CASE_MAX_EVENTS)
-        .build();
-    BuiltCase {
-        engine,
-        hub,
-        fault_stats: Vec::new(),
-        rejections: handles,
-    }
-}
-
-/// The clock-fleet scenario's oracle set.
-#[must_use]
-pub fn clockfleet_oracles(cfg: &ScenarioConfig) -> Vec<Box<dyn Oracle<BeepAction>>> {
-    let eps = ns(cfg.eps_ns);
-    let mut oracles: Vec<Box<dyn Oracle<BeepAction>>> = vec![Box::new(CEpsOracle::new(eps))];
-
-    // Per-node clock monotonicity and exact clock-time cadence: beep k of
-    // node i must carry clock reading (k+1)·period_i even under scripted
-    // skew — the deadline clamp in the C1–C4 guard guarantees it.
-    let periods: Vec<(u32, Duration)> = (0..cfg.nodes).map(|i| (i, fleet_period(cfg, i))).collect();
-    oracles.push(Box::new(FnOracle::new(
-        "clock cadence",
-        move |exec: &Execution<BeepAction>| {
-            for (node, period) in &periods {
-                let mut last: Option<Time> = None;
-                let mut expected_seq = 0u64;
-                for (i, e) in exec.events().iter().enumerate() {
-                    let BeepAction::Beep { src, seq } = &e.action;
-                    if src != node {
-                        continue;
-                    }
-                    let clock = match e.clock {
-                        Some(c) => c,
-                        None => {
-                            return Verdict::violated(format!(
-                                "event {i}: beep of node {node} recorded without a clock reading"
-                            ))
-                        }
-                    };
-                    if let Some(prev) = last {
-                        if clock <= prev {
-                            return Verdict::violated(format!(
-                                "event {i}: node {node} clock moved {prev} → {clock} (C3 broken)"
-                            ));
-                        }
-                    }
-                    last = Some(clock);
-                    if *seq != expected_seq {
-                        return Verdict::violated(format!(
-                            "event {i}: node {node} beeped seq {seq}, expected {expected_seq}"
-                        ));
-                    }
-                    expected_seq += 1;
-                    let due = Time::ZERO + *period * (*seq as i64 + 1);
-                    if clock != due {
-                        return Verdict::violated(format!(
-                            "event {i}: node {node} beep {seq} at clock {clock}, expected {due}"
-                        ));
-                    }
+/// Per-node clock monotonicity and exact clock-time cadence: beep k of
+/// node i must carry clock reading (k+1)·period_i even under scripted
+/// skew — the deadline clamp in the C1–C4 guard guarantees it.
+fn check_cadence(exec: &Execution<BeepAction>, periods: &[(u32, Duration)]) -> Verdict {
+    for (node, period) in periods {
+        let mut last: Option<Time> = None;
+        let mut expected_seq = 0u64;
+        for (i, e) in exec.events().iter().enumerate() {
+            let BeepAction::Beep { src, seq } = &e.action;
+            if src != node {
+                continue;
+            }
+            let clock = match e.clock {
+                Some(c) => c,
+                None => {
+                    return Verdict::violated(format!(
+                        "event {i}: beep of node {node} recorded without a clock reading"
+                    ))
+                }
+            };
+            if let Some(prev) = last {
+                if clock <= prev {
+                    return Verdict::violated(format!(
+                        "event {i}: node {node} clock moved {prev} → {clock} (C3 broken)"
+                    ));
                 }
             }
-            Verdict::Holds
-        },
-    )));
-
-    for i in 0..cfg.nodes {
-        let period = fleet_period(cfg, i);
-        oracles.push(Box::new(FnOracle::new(
-            format!("replay(beeper {i})"),
-            move |exec: &Execution<BeepAction>| match replay_clock(
-                ClockBeeper::with_src(period, i),
-                exec,
-            ) {
-                Ok(_) => Verdict::Holds,
-                Err(e) => Verdict::violated(format!("Lemma 2.1 clock replay failed: {e}")),
-            },
-        )));
+            last = Some(clock);
+            if *seq != expected_seq {
+                return Verdict::violated(format!(
+                    "event {i}: node {node} beeped seq {seq}, expected {expected_seq}"
+                ));
+            }
+            expected_seq += 1;
+            let due = Time::ZERO + *period * (*seq as i64 + 1);
+            if clock != due {
+                return Verdict::violated(format!(
+                    "event {i}: node {node} beep {seq} at clock {clock}, expected {due}"
+                ));
+            }
+        }
     }
-    oracles
+    Verdict::Holds
 }
 
-/// The slot users' guard band: `ε` normally, zero under the
-/// [`CanaryKind::MutexGuardZero`] canary (the paper's Section 7 failure
-/// mode: an unguarded schedule is exclusive in the timed model but not
-/// under any non-trivial clock skew).
-fn mutex_guard(cfg: &ScenarioConfig) -> Duration {
-    if cfg.canary == Some(CanaryKind::MutexGuardZero) {
+/// The clockfleet family — the clock model in isolation: `n` clock nodes
+/// with plan-scripted clocks driving periodic clock-time beepers.
+pub struct ClockFleetFamily;
+
+impl Scenario for ClockFleetFamily {
+    type Action = BeepAction;
+
+    fn parts(cfg: &ScenarioConfig, plan: &FaultPlan, _seed: u64) -> CaseParts<BeepAction> {
+        let eps = ns(cfg.eps_ns);
+        let mut builder = Engine::builder();
+        let mut rejections = Vec::new();
+        for i in 0..cfg.nodes {
+            let period = if cfg.canary == Some(CanaryKind::CadenceRush) && i == 0 {
+                fleet_period(cfg, 0) - Duration::from_millis(1)
+            } else {
+                fleet_period(cfg, i)
+            };
+            if cfg.canary == Some(CanaryKind::SkewBeyondEps) && i == 0 {
+                // The planted bug: node 0's clock runs 1 ms beyond the
+                // declared ε. Its ClockNode is registered with a widened
+                // envelope so the engine guard lets the readings through —
+                // the C_ε oracle still judges against the declared ε.
+                let widened = eps + Duration::from_millis(2);
+                builder = builder.clock_node(
+                    ClockNode::new(
+                        "n0".to_string(),
+                        widened,
+                        OffsetClock::new(eps + Duration::from_millis(1), widened),
+                    )
+                    .with(ClockBeeper::with_src(period, 0)),
+                );
+                continue;
+            }
+            let clock = scripted_clock_for(plan, i);
+            rejections.push(clock.rejections());
+            builder = builder.clock_node(
+                ClockNode::new(format!("n{i}"), eps, clock).with(ClockBeeper::with_src(period, i)),
+            );
+        }
+        CaseParts {
+            rejections,
+            ..CaseParts::new(builder)
+        }
+    }
+
+    /// `C_ε` on every recorded reading, per-node clock monotonicity and
+    /// exact clock-time cadence, and Lemma 2.1 clock replays.
+    fn oracles(cfg: &ScenarioConfig, _seed: u64) -> Vec<Box<dyn Oracle<BeepAction>>> {
+        let eps = ns(cfg.eps_ns);
+        let mut oracles: Vec<Box<dyn Oracle<BeepAction>>> = vec![Box::new(CEpsOracle::new(eps))];
+
+        let periods: Vec<(u32, Duration)> =
+            (0..cfg.nodes).map(|i| (i, fleet_period(cfg, i))).collect();
+        oracles.push(Box::new(FnOracle::new(
+            "clock cadence",
+            move |exec: &Execution<BeepAction>| check_cadence(exec, &periods),
+        )));
+        for i in 0..cfg.nodes {
+            let period = fleet_period(cfg, i);
+            oracles.push(replay_oracle(
+                format!("replay(beeper {i})"),
+                CLOCK_REPLAY_FAILED,
+                move |exec| replay_clock(ClockBeeper::with_src(period, i), exec),
+            ));
+        }
+        oracles
+    }
+}
+
+/// The slot user node `i` runs, as deployed and as its replay rebuilds.
+/// The guard band is `ε` — zero under the [`CanaryKind::MutexGuardZero`]
+/// canary (the paper's Section 7 failure mode: an unguarded schedule is
+/// exclusive in the timed model but not under any non-trivial clock
+/// skew).
+fn slot_user(cfg: &ScenarioConfig, i: u32) -> ClockSim<MutexAction> {
+    let guard = if cfg.canary == Some(CanaryKind::MutexGuardZero) {
         Duration::ZERO
     } else {
         ns(cfg.eps_ns)
-    }
-}
-
-/// Runs one mutual-exclusion case.
-///
-/// # Panics
-///
-/// Panics if the config is not a mutex-family config.
-pub fn run_mutex(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64) -> Judged<MutexAction> {
-    assert!(matches!(
-        cfg.kind,
-        ScenarioKind::Mutex | ScenarioKind::MutexContended
-    ));
-    let mut built = build_mutex(cfg, plan, seed);
-    let run = built.engine.run().map_err(|e| e.to_string());
-    let verdicts = judge(&mutex_oracles(cfg), &run);
-    finish_case(&built, verdicts, run)
-}
-
-/// Builds the mutual-exclusion case's engine (without running it): `n`
-/// clock nodes, each running `C(SlotUser, ε)` against a plan-scripted
-/// clock.
-fn build_mutex(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64) -> BuiltCase<MutexAction> {
-    let eps = ns(cfg.eps_ns);
-    let slot = ns(cfg.period_ns);
-    let guard = mutex_guard(cfg);
-    let n = cfg.nodes as usize;
-    let rounds = u64::from(cfg.ops_per_node);
-    let hub = MetricsHub::new();
-    let mut builder = Engine::builder();
-    let mut handles = Vec::new();
-    for i in 0..cfg.nodes {
-        let clock = scripted_clock_for(plan, i);
-        handles.push(clock.rejections());
-        builder = builder.clock_node(ClockNode::new(format!("n{i}"), eps, clock).with(
-            ClockSim::new(SlotUser::guarded(
-                NodeId(i as usize),
-                n,
-                slot,
-                guard,
-                rounds,
-            )),
-        ));
-    }
-    let engine = builder
-        .observer(hub.engine_observer().without_checkpoint_counters())
-        .scheduler(BiasedScheduler::new(plan, seed))
-        .horizon(at_ns(cfg.horizon_ns))
-        .max_events(CASE_MAX_EVENTS)
-        .build();
-    BuiltCase {
-        engine,
-        hub,
-        fault_stats: Vec::new(),
-        rejections: handles,
-    }
+    };
+    ClockSim::new(SlotUser::guarded(
+        NodeId(i as usize),
+        cfg.nodes as usize,
+        ns(cfg.period_ns),
+        guard,
+        u64::from(cfg.ops_per_node),
+    ))
 }
 
 /// Interval-based mutual exclusion over real time: occupancies of
@@ -1457,105 +1518,69 @@ fn check_mutual_exclusion(exec: &Execution<MutexAction>, n: usize) -> Verdict {
     Verdict::Holds
 }
 
-/// The mutex scenario's oracle set.
-#[must_use]
-pub fn mutex_oracles(cfg: &ScenarioConfig) -> Vec<Box<dyn Oracle<MutexAction>>> {
-    let n = cfg.nodes as usize;
-    let rounds = u64::from(cfg.ops_per_node);
-    let exclusion = FnOracle::new("mutual exclusion", move |exec: &Execution<MutexAction>| {
-        check_mutual_exclusion(exec, n)
-    });
-    let liveness = FnOracle::new("mutex liveness", move |exec: &Execution<MutexAction>| {
-        let mut enters = vec![0u64; n];
-        for e in exec.events() {
-            if let SysAction::App(MutexOp::Enter { node, .. }) = &e.action {
-                enters[node.0] += 1;
-            }
+/// The mutex family — the paper's time-division mutual exclusion
+/// (Section 7's design techniques): `n` clock nodes, each running
+/// `C(SlotUser, ε)` with `guard = ε` edges against a plan-scripted clock.
+pub struct MutexFamily;
+
+impl Scenario for MutexFamily {
+    type Action = MutexAction;
+
+    fn parts(cfg: &ScenarioConfig, plan: &FaultPlan, _seed: u64) -> CaseParts<MutexAction> {
+        let eps = ns(cfg.eps_ns);
+        let mut builder = Engine::builder();
+        let mut rejections = Vec::new();
+        for i in 0..cfg.nodes {
+            let clock = scripted_clock_for(plan, i);
+            rejections.push(clock.rejections());
+            builder = builder
+                .clock_node(ClockNode::new(format!("n{i}"), eps, clock).with(slot_user(cfg, i)));
         }
-        for (node, &count) in enters.iter().enumerate() {
-            if count != rounds {
-                return Verdict::violated(format!(
-                    "node {node} entered {count} times, expected {rounds}"
-                ));
-            }
+        CaseParts {
+            rejections,
+            ..CaseParts::new(builder)
         }
-        Verdict::Holds
-    });
-    let mut oracles: Vec<Box<dyn Oracle<MutexAction>>> = vec![
-        Box::new(exclusion),
-        Box::new(liveness),
-        Box::new(CEpsOracle::new(ns(cfg.eps_ns))),
-    ];
-    let slot = ns(cfg.period_ns);
-    let guard = mutex_guard(cfg);
-    for i in 0..cfg.nodes {
-        oracles.push(Box::new(FnOracle::new(
-            format!("replay(slot-user {i})"),
-            move |exec: &Execution<MutexAction>| match replay_clock(
-                ClockSim::new(SlotUser::guarded(
-                    NodeId(i as usize),
-                    n,
-                    slot,
-                    guard,
-                    rounds,
-                )),
-                exec,
-            ) {
-                Ok(_) => Verdict::Holds,
-                Err(e) => Verdict::violated(format!("Lemma 2.1 clock replay failed: {e}")),
-            },
-        )));
     }
-    oracles
-}
 
-/// The closed-loop liveness verdict of a register or counter run: the
-/// workload must drain (the engine go quiescent) before the horizon.
-fn liveness_violation(stop: StopReason) -> Option<(String, String)> {
-    (stop != StopReason::Quiescent).then(|| {
-        (
-            "liveness".to_string(),
-            format!("workload did not finish by the horizon ({stop:?})"),
-        )
-    })
-}
-
-/// Runs one register (`D_C`) case, judged by liveness plus the oracle
-/// set. Returns the run, verdicts, and clamped clock-request count.
-///
-/// # Panics
-///
-/// Panics if the config is not a register-family config.
-pub fn run_register(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64) -> Judged<RegAction> {
-    assert!(matches!(
-        cfg.kind,
-        ScenarioKind::Register | ScenarioKind::RegisterTriple
-    ));
-    let mut built = build_register(cfg, plan, seed);
-    let run = built.engine.run().map_err(|e| e.to_string());
-    let (mut violations, metrics) = judge(&register_oracles(cfg, seed), &run);
-    if let Some(v) = run.as_ref().ok().and_then(|r| liveness_violation(r.stop)) {
-        violations.insert(0, v);
+    /// Interval-based mutual exclusion, per-node liveness (every round
+    /// entered), `C_ε`, and clock replays of each slot user.
+    fn oracles(cfg: &ScenarioConfig, _seed: u64) -> Vec<Box<dyn Oracle<MutexAction>>> {
+        let n = cfg.nodes as usize;
+        let rounds = u64::from(cfg.ops_per_node);
+        let exclusion = FnOracle::new("mutual exclusion", move |exec: &Execution<MutexAction>| {
+            check_mutual_exclusion(exec, n)
+        });
+        let liveness = FnOracle::new("mutex liveness", move |exec: &Execution<MutexAction>| {
+            let mut enters = vec![0u64; n];
+            for e in exec.events() {
+                if let SysAction::App(MutexOp::Enter { node, .. }) = &e.action {
+                    enters[node.0] += 1;
+                }
+            }
+            for (node, &count) in enters.iter().enumerate() {
+                if count != rounds {
+                    return Verdict::violated(format!(
+                        "node {node} entered {count} times, expected {rounds}"
+                    ));
+                }
+            }
+            Verdict::Holds
+        });
+        let mut oracles: Vec<Box<dyn Oracle<MutexAction>>> = vec![
+            Box::new(exclusion),
+            Box::new(liveness),
+            Box::new(CEpsOracle::new(ns(cfg.eps_ns))),
+        ];
+        for i in 0..cfg.nodes {
+            let cfg = cfg.clone();
+            oracles.push(replay_oracle(
+                format!("replay(slot-user {i})"),
+                CLOCK_REPLAY_FAILED,
+                move |exec| replay_clock(slot_user(&cfg, i), exec),
+            ));
+        }
+        oracles
     }
-    finish_case(&built, (violations, metrics), run)
-}
-
-/// The register/counter parameter set, with the sign-flip canary hook:
-/// the mutant skips the `2ε` read wait (`read_slack = 0`), the exact
-/// slack Lemma 6.4 needs — linearizability then breaks under admissible
-/// clock skew.
-fn register_params(cfg: &ScenarioConfig, topo: &Topology, canary: CanaryKind) -> RegisterParams {
-    let mut params = RegisterParams::for_clock_model(
-        topo,
-        cfg.bounds(),
-        ns(cfg.eps_ns),
-        ns(cfg.d2_ns / 2),
-        Duration::from_micros(100),
-    );
-    if cfg.canary == Some(canary) {
-        params.read_slack = Duration::ZERO;
-    }
-    params
 }
 
 /// The closed-loop workloads' think-time bounds.
@@ -1563,196 +1588,180 @@ fn think_bounds() -> DelayBounds {
     DelayBounds::new(Duration::from_millis(1), Duration::from_millis(6)).expect("valid")
 }
 
-/// The clock strategies a `D_C` scenario deploys: plan-scripted clocks —
-/// except under a sign-flip canary, where nodes 0 and 1 run at fixed
-/// *admissible* worst-case offsets (`+ε` / `−ε`). The skew itself is
-/// legal (`C_ε` holds throughout), but the mutant's missing `2ε` read
-/// slack turns any node-1 read racing just behind a node-0 write ack
-/// into a stale, non-linearizable return — the paper's own argument for
-/// why Algorithm L does not survive the clock transformation
-/// (Section 6.2).
-fn dc_strategies(
+/// Builds a `D_C` case (Section 6: the node algorithm through
+/// Simulation 1, on plan-delayed clock channels) around `algorithm` and
+/// its closed-loop `workload`. `sign_flip` is the family's canary:
+///
+/// * its mutant skips the `2ε` read wait (`read_slack = 0`), the exact
+///   slack Lemma 6.4 needs, and
+/// * its nodes 0 and 1 run at fixed *admissible* worst-case offsets
+///   (`+ε` / `−ε`) instead of plan-scripted clocks. The skew itself is
+///   legal (`C_ε` holds throughout), but the missing slack turns any
+///   node-1 read racing just behind a node-0 write ack into a stale,
+///   non-linearizable return — the paper's own argument for why
+///   Algorithm L does not survive the clock transformation
+///   (Section 6.2).
+fn dc_parts<M, O, G, W>(
     cfg: &ScenarioConfig,
     plan: &FaultPlan,
+    seed: u64,
     sign_flip: CanaryKind,
-    handles: &mut Vec<Rc<Cell<u64>>>,
-) -> Vec<Box<dyn psync_executor::ClockStrategy>> {
+    algorithm: impl Fn(NodeId, RegisterParams) -> G,
+    workload: W,
+) -> CaseParts<SysAction<M, O>>
+where
+    M: Clone + Eq + Hash + Debug + 'static,
+    O: Action,
+    G: TimedComponent<Action = SysAction<M, O>>,
+    W: TimedComponent<Action = SysAction<M, O>>,
+{
+    let topo = Topology::complete(cfg.nodes as usize);
     let eps = ns(cfg.eps_ns);
-    (0..cfg.nodes)
-        .map(|i| {
-            if cfg.canary == Some(sign_flip) && i < 2 {
-                let offset = if i == 0 { eps } else { -eps };
-                return Box::new(OffsetClock::new(offset, eps))
-                    as Box<dyn psync_executor::ClockStrategy>;
+    let flipped = cfg.canary == Some(sign_flip);
+    let mut params = RegisterParams::for_clock_model(
+        &topo,
+        cfg.bounds(),
+        eps,
+        ns(cfg.d2_ns / 2),
+        Duration::from_micros(100),
+    );
+    if flipped {
+        params.read_slack = Duration::ZERO;
+    }
+    let algorithms = topo
+        .nodes()
+        .map(|i| NodeSpec::new(i, algorithm(i, params.clone())))
+        .collect();
+    let mut rejections = Vec::new();
+    let strategies = (0..cfg.nodes)
+        .map(|i| -> Box<dyn ClockStrategy> {
+            if flipped && i < 2 {
+                return Box::new(OffsetClock::new(if i == 0 { eps } else { -eps }, eps));
             }
             let clock = scripted_clock_for(plan, i);
-            handles.push(clock.rejections());
-            Box::new(clock) as Box<dyn psync_executor::ClockStrategy>
+            rejections.push(clock.rejections());
+            Box::new(clock)
         })
-        .collect()
-}
-
-/// Builds the register (`D_C`) case's engine (without running it).
-fn build_register(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64) -> BuiltCase<RegAction> {
-    let hub = MetricsHub::new();
-    let topo = Topology::complete(cfg.nodes as usize);
-    let physical = cfg.bounds();
-    let eps = ns(cfg.eps_ns);
-    let params = register_params(cfg, &topo, CanaryKind::RegisterSignFlip);
-    let algorithms = topo
-        .nodes()
-        .map(|i| NodeSpec::new(i, AlgorithmS::new(i, params.clone())))
         .collect();
-    let mut handles = Vec::new();
-    let strategies = dc_strategies(cfg, plan, CanaryKind::RegisterSignFlip, &mut handles);
-    let plan_for_policy = plan.clone();
-    let workload = ClosedLoopWorkload::new(&topo, seed, think_bounds(), cfg.ops_per_node);
-    let engine = build_dc(&topo, physical, eps, algorithms, strategies, move |_, _| {
-        Box::new(PlanDelayPolicy::new(&plan_for_policy, seed))
-    })
-    .timed(workload)
-    .observer(hub.engine_observer().without_checkpoint_counters())
-    .scheduler(BiasedScheduler::new(plan, seed ^ 0x5C4E_D01E))
-    .horizon(at_ns(cfg.horizon_ns))
-    .max_events(CASE_MAX_EVENTS)
-    .build();
-    BuiltCase {
-        engine,
-        hub,
-        fault_stats: Vec::new(),
-        rejections: handles,
+    let policy_plan = plan.clone();
+    let builder = build_dc(
+        &topo,
+        cfg.bounds(),
+        eps,
+        algorithms,
+        strategies,
+        move |_, _| Box::new(PlanDelayPolicy::new(&policy_plan, seed)),
+    )
+    .timed(workload);
+    CaseParts {
+        rejections,
+        ..CaseParts::new(builder)
     }
 }
 
-/// The register scenario's oracle set. Linearizability is the *same*
-/// [`LinearizableRegister`] problem instance the conformance sweeps use,
-/// adapted through [`ProblemOracle`] — the shared-checker seam the
-/// explorer was built around.
+/// The scheduler salt of the `D_C` families, whose delay policy already
+/// draws from the bare case seed.
+const DC_SCHEDULER_SALT: u64 = 0x5C4E_D01E;
+
+/// The register workload a case deploys and its replay rebuilds
+/// (`ClosedLoopWorkload` is not `Clone`).
+fn register_workload(cfg: &ScenarioConfig, seed: u64) -> ClosedLoopWorkload {
+    let topo = Topology::complete(cfg.nodes as usize);
+    ClosedLoopWorkload::new(&topo, seed, think_bounds(), cfg.ops_per_node)
+}
+
+/// The register family — the full `D_C` assembly of Section 6
+/// (Algorithm S through Simulation 1).
+pub struct RegisterFamily;
+
+impl Scenario for RegisterFamily {
+    type Action = RegAction;
+    const MUST_DRAIN: bool = true;
+    const SCHEDULER_SALT: u64 = DC_SCHEDULER_SALT;
+
+    fn parts(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64) -> CaseParts<RegAction> {
+        dc_parts(
+            cfg,
+            plan,
+            seed,
+            CanaryKind::RegisterSignFlip,
+            AlgorithmS::new,
+            register_workload(cfg, seed),
+        )
+    }
+
+    /// Linearizability — the *same* [`LinearizableRegister`] problem
+    /// instance the conformance sweeps use, adapted through
+    /// [`ProblemOracle`]: the shared-checker seam the explorer was built
+    /// around — then `C_ε` and a workload replay.
+    fn oracles(cfg: &ScenarioConfig, seed: u64) -> Vec<Box<dyn Oracle<RegAction>>> {
+        let replayed = cfg.clone();
+        vec![
+            Box::new(ProblemOracle::new(
+                LinearizableRegister::new(cfg.nodes as usize, Value::INITIAL),
+                |e: &Execution<RegAction>| app_trace(e),
+            )),
+            Box::new(CEpsOracle::new(ns(cfg.eps_ns))),
+            replay_oracle("replay(workload)", TIMED_REPLAY_FAILED, move |exec| {
+                replay_timed(register_workload(&replayed, seed), exec)
+            }),
+        ]
+    }
+}
+
+/// [`RegisterFamily`]'s whole-execution oracles, for judging recorded
+/// register executions outside a case (the end-to-end benchmark's
+/// post-hoc workload).
 #[must_use]
 pub fn register_oracles(cfg: &ScenarioConfig, seed: u64) -> Vec<Box<dyn Oracle<RegAction>>> {
-    let n = cfg.nodes as usize;
-    let ops = cfg.ops_per_node;
-    vec![
-        Box::new(ProblemOracle::new(
-            LinearizableRegister::new(n, Value::INITIAL),
-            |e: &Execution<RegAction>| app_trace(e),
-        )),
-        Box::new(CEpsOracle::new(ns(cfg.eps_ns))),
-        Box::new(FnOracle::new(
-            "replay(workload)",
-            move |exec: &Execution<RegAction>| {
-                // ClosedLoopWorkload is not Clone; rebuild the identical
-                // component from the artifact inputs for each replay.
-                let workload =
-                    ClosedLoopWorkload::new(&Topology::complete(n), seed, think_bounds(), ops);
-                match replay_timed(workload, exec) {
-                    Ok(_) => Verdict::Holds,
-                    Err(e) => Verdict::violated(format!("Lemma 2.1 replay failed: {e}")),
-                }
-            },
-        )),
-    ]
+    RegisterFamily::oracles(cfg, seed)
 }
 
-/// The counter workload's update payloads: powers of ten per node, so
-/// any lost or double-counted increment is visible in a query's digits.
-fn counter_update(node: NodeId, _op: u32) -> i64 {
-    10i64.pow(node.0 as u32)
-}
-
-/// Runs one generalized-object counter case, judged by liveness plus the
-/// oracle set.
-///
-/// # Panics
-///
-/// Panics if the config is not a counter config.
-pub fn run_counter(
-    cfg: &ScenarioConfig,
-    plan: &FaultPlan,
-    seed: u64,
-) -> Judged<ObjAction<Counter>> {
-    assert_eq!(cfg.kind, ScenarioKind::Counter);
-    let mut built = build_counter(cfg, plan, seed);
-    let run = built.engine.run().map_err(|e| e.to_string());
-    let (mut violations, metrics) = judge(&counter_oracles(cfg, seed), &run);
-    if let Some(v) = run.as_ref().ok().and_then(|r| liveness_violation(r.stop)) {
-        violations.insert(0, v);
-    }
-    finish_case(&built, (violations, metrics), run)
-}
-
-/// Builds the counter (`AlgorithmSObj<Counter>` in `D_C`) case's engine
-/// (without running it).
-fn build_counter(
-    cfg: &ScenarioConfig,
-    plan: &FaultPlan,
-    seed: u64,
-) -> BuiltCase<ObjAction<Counter>> {
-    let hub = MetricsHub::new();
+/// The counter workload a case deploys and its replay rebuilds. Update
+/// payloads are powers of ten per node, so any lost or double-counted
+/// increment is visible in a query's digits.
+fn counter_workload(cfg: &ScenarioConfig, seed: u64) -> ObjWorkload<Counter> {
     let topo = Topology::complete(cfg.nodes as usize);
-    let physical = cfg.bounds();
-    let eps = ns(cfg.eps_ns);
-    let params = register_params(cfg, &topo, CanaryKind::CounterSignFlip);
-    let algorithms = topo
-        .nodes()
-        .map(|i| NodeSpec::new(i, AlgorithmSObj::new(i, Counter, params.clone())))
-        .collect();
-    let mut handles = Vec::new();
-    let strategies = dc_strategies(cfg, plan, CanaryKind::CounterSignFlip, &mut handles);
-    let plan_for_policy = plan.clone();
-    let workload = ObjWorkload::<Counter>::new(
+    ObjWorkload::new(
         &topo,
         seed,
         think_bounds(),
         cfg.ops_per_node,
-        counter_update,
-    );
-    let engine = build_dc(&topo, physical, eps, algorithms, strategies, move |_, _| {
-        Box::new(PlanDelayPolicy::new(&plan_for_policy, seed))
-    })
-    .timed(workload)
-    .observer(hub.engine_observer().without_checkpoint_counters())
-    .scheduler(BiasedScheduler::new(plan, seed ^ 0x5C4E_D01E))
-    .horizon(at_ns(cfg.horizon_ns))
-    .max_events(CASE_MAX_EVENTS)
-    .build();
-    BuiltCase {
-        engine,
-        hub,
-        fault_stats: Vec::new(),
-        rejections: handles,
-    }
+        |node, _op| 10i64.pow(node.0 as u32),
+    )
 }
 
-/// The counter scenario's oracle set: generalized-object
-/// linearizability, `C_ε`, and a workload replay.
-#[must_use]
-pub fn counter_oracles(
-    cfg: &ScenarioConfig,
-    seed: u64,
-) -> Vec<Box<dyn Oracle<ObjAction<Counter>>>> {
-    let n = cfg.nodes as usize;
-    let ops = cfg.ops_per_node;
-    vec![
-        Box::new(ObjectLinearizableOracle::new(Counter, n)),
-        Box::new(CEpsOracle::new(ns(cfg.eps_ns))),
-        Box::new(FnOracle::new(
-            "replay(workload)",
-            move |exec: &Execution<ObjAction<Counter>>| {
-                let workload = ObjWorkload::<Counter>::new(
-                    &Topology::complete(n),
-                    seed,
-                    think_bounds(),
-                    ops,
-                    counter_update,
-                );
-                match replay_timed(workload, exec) {
-                    Ok(_) => Verdict::Holds,
-                    Err(e) => Verdict::violated(format!("Lemma 2.1 replay failed: {e}")),
-                }
-            },
-        )),
-    ]
+/// The counter family — the generalized-object extension:
+/// `AlgorithmSObj` over the [`Counter`] spec in `D_C`.
+pub struct CounterFamily;
+
+impl Scenario for CounterFamily {
+    type Action = ObjAction<Counter>;
+    const MUST_DRAIN: bool = true;
+    const SCHEDULER_SALT: u64 = DC_SCHEDULER_SALT;
+
+    fn parts(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64) -> CaseParts<ObjAction<Counter>> {
+        dc_parts(
+            cfg,
+            plan,
+            seed,
+            CanaryKind::CounterSignFlip,
+            |i, params| AlgorithmSObj::new(i, Counter, params),
+            counter_workload(cfg, seed),
+        )
+    }
+
+    /// Generalized-object linearizability, `C_ε`, and a workload replay.
+    fn oracles(cfg: &ScenarioConfig, seed: u64) -> Vec<Box<dyn Oracle<ObjAction<Counter>>>> {
+        let replayed = cfg.clone();
+        vec![
+            Box::new(ObjectLinearizableOracle::new(Counter, cfg.nodes as usize)),
+            Box::new(CEpsOracle::new(ns(cfg.eps_ns))),
+            replay_oracle("replay(workload)", TIMED_REPLAY_FAILED, move |exec| {
+                replay_timed(counter_workload(&replayed, seed), exec)
+            }),
+        ]
+    }
 }
 
 /// The probe-sync parameter set for node `i`, with the skew-burst
@@ -1789,165 +1798,117 @@ fn sync_params(cfg: &ScenarioConfig, i: u32) -> SyncParams {
     }
 }
 
-/// Builds the sync case's engine (without running it): `n` drifting
-/// clock nodes running [`ProbeSync`] (or [`RoundSync`] for the
-/// fault-resistant variant), wired over per-edge [`FaultChannel`]s that
-/// the plan may drop, duplicate, or spike inside `[d₁, d₂]`.
-fn build_sync(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64) -> BuiltCase<SyncAction> {
-    let eps = ns(cfg.eps_ns);
-    let declared = cfg.bounds();
-    let actual = DelayBounds::new(declared.min(), declared.max() + ns(cfg.bug_extra_ns))
-        .expect("widened bounds stay ordered");
-    let rates = drift_rates(cfg.nodes as usize, cfg.drift_ppm);
-    let hub = MetricsHub::new();
-    let mut builder = Engine::builder();
-    for i in 0..cfg.nodes {
-        let node = ClockNode::new(format!("n{i}"), eps, DriftClock::new(rates[i as usize]));
-        builder = if cfg.kind == ScenarioKind::SyncRounds {
-            builder.clock_node(node.with(RoundSync::new(sync_params(cfg, i))))
-        } else {
-            builder.clock_node(node.with(ProbeSync::new(sync_params(cfg, i))))
-        };
-    }
-    let mut fault_stats = Vec::new();
-    for i in 0..cfg.nodes {
-        for j in 0..cfg.nodes {
-            if i == j {
-                continue;
-            }
-            let fault = PlanChannelFault::new(plan, i, j, seed, declared, ns(cfg.bug_extra_ns));
-            let channel = FaultChannel::<SyncMsg, SyncOp>::new(
-                NodeId(i as usize),
-                NodeId(j as usize),
-                actual,
-                MaxDelay,
-                fault,
-            );
-            fault_stats.push(channel.stats());
-            builder = builder.timed(channel);
+/// The sync family — clock synchronization that *achieves* ε̂: `n`
+/// drifting clock nodes running `psync-sync`'s probe/echo components,
+/// wired over per-edge [`FaultChannel`]s that the plan may drop,
+/// duplicate, or spike inside `[d₁, d₂]`, certifying a measured bound
+/// each round. [`ScenarioKind::SyncRounds`] is the fault-resistant
+/// configuration (drops and duplicates in scope, crashed/gray peers aged
+/// out by grace).
+pub struct SyncFamily;
+
+impl Scenario for SyncFamily {
+    type Action = SyncAction;
+
+    fn parts(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64) -> CaseParts<SyncAction> {
+        let eps = ns(cfg.eps_ns);
+        let rates = drift_rates(cfg.nodes as usize, cfg.drift_ppm);
+        let mut builder = Engine::builder();
+        for i in 0..cfg.nodes {
+            let node = ClockNode::new(format!("n{i}"), eps, DriftClock::new(rates[i as usize]));
+            builder = builder.clock_node(if cfg.kind == ScenarioKind::SyncRounds {
+                node.with(RoundSync::new(sync_params(cfg, i)))
+            } else {
+                node.with(ProbeSync::new(sync_params(cfg, i)))
+            });
         }
+        plan_channels(
+            builder,
+            cfg,
+            plan,
+            seed,
+            &complete_edges(cfg.nodes),
+            |fault| fault,
+        )
     }
-    let engine = builder
-        .observer(hub.engine_observer().without_checkpoint_counters())
-        .observer(hub.channel_delay_observer())
-        .scheduler(BiasedScheduler::new(plan, seed))
-        .horizon(at_ns(cfg.horizon_ns))
-        .max_events(CASE_MAX_EVENTS)
-        .build();
-    BuiltCase {
-        engine,
-        hub,
-        fault_stats,
-        rejections: Vec::new(),
-    }
-}
 
-/// The sync scenario's oracle set: the ε̂-parameterized `C_ε`
-/// (certificate soundness and achievement of the predicted bound — the
-/// primary oracle), the constant-ε `C_ε` probe, and a Lemma 2.1 clock
-/// replay of every sync component. The per-edge FIFO oracle is
-/// deliberately omitted: probe bursts and held echoes are handed to
-/// independently delayed channels in the same instant, so cross-message
-/// reordering is legitimate.
-#[must_use]
-pub fn sync_oracles(cfg: &ScenarioConfig) -> Vec<Box<dyn Oracle<SyncAction>>> {
-    let bound = predicted_eps_hat(
-        ns(cfg.d1_ns),
-        ns(cfg.d2_ns),
-        rho_max(cfg.nodes as usize, cfg.drift_ppm),
-        at_ns(cfg.horizon_ns),
-    );
-    let mut oracles: Vec<Box<dyn Oracle<SyncAction>>> = vec![
-        Box::new(EpsHatOracle::new(cfg.nodes as usize, bound)),
-        Box::new(CEpsOracle::new(ns(cfg.eps_ns))),
-    ];
-    for i in 0..cfg.nodes {
-        let cfg = cfg.clone();
-        let rounds = cfg.kind == ScenarioKind::SyncRounds;
-        oracles.push(Box::new(FnOracle::new(
-            format!("replay(sync {i})"),
-            move |exec: &Execution<SyncAction>| {
-                let result = if rounds {
-                    replay_clock(RoundSync::new(sync_params(&cfg, i)), exec).map(|_| ())
-                } else {
-                    replay_clock(ProbeSync::new(sync_params(&cfg, i)), exec).map(|_| ())
-                };
-                match result {
-                    Ok(()) => Verdict::Holds,
-                    Err(e) => Verdict::violated(format!("Lemma 2.1 clock replay failed: {e}")),
-                }
-            },
-        )));
+    /// The ε̂-parameterized `C_ε` ([`EpsHatOracle`]: certificate soundness
+    /// against the recorded clock readings *and* achievement of the
+    /// [`predicted_eps_hat`] bound — the primary oracle), the constant-ε
+    /// `C_ε` probe, and a Lemma 2.1 clock replay of every sync component. The
+    /// per-edge FIFO oracle is deliberately omitted: probe bursts and
+    /// held echoes are handed to independently delayed channels in the
+    /// same instant, so cross-message reordering is legitimate.
+    fn oracles(cfg: &ScenarioConfig, _seed: u64) -> Vec<Box<dyn Oracle<SyncAction>>> {
+        let bound = predicted_eps_hat(
+            ns(cfg.d1_ns),
+            ns(cfg.d2_ns),
+            rho_max(cfg.nodes as usize, cfg.drift_ppm),
+            at_ns(cfg.horizon_ns),
+        );
+        let mut oracles: Vec<Box<dyn Oracle<SyncAction>>> = vec![
+            Box::new(EpsHatOracle::new(cfg.nodes as usize, bound)),
+            Box::new(CEpsOracle::new(ns(cfg.eps_ns))),
+        ];
+        for i in 0..cfg.nodes {
+            let cfg = cfg.clone();
+            oracles.push(replay_oracle(
+                format!("replay(sync {i})"),
+                CLOCK_REPLAY_FAILED,
+                move |exec| {
+                    if cfg.kind == ScenarioKind::SyncRounds {
+                        replay_clock(RoundSync::new(sync_params(&cfg, i)), exec)
+                    } else {
+                        replay_clock(ProbeSync::new(sync_params(&cfg, i)), exec)
+                    }
+                },
+            ));
+        }
+        oracles
     }
-    oracles
-}
 
-/// Runs one clock-synchronization case and publishes each node's final
-/// certified ε̂ as a `sync.eps_hat_ns.n{i}` gauge (campaign merging
-/// keeps the worst level).
-///
-/// # Panics
-///
-/// Panics if the config is not a sync-family config.
-pub fn run_sync(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64) -> Judged<SyncAction> {
-    assert!(cfg.kind.is_sync());
-    let mut built = build_sync(cfg, plan, seed);
-    let run = built.engine.run().map_err(|e| e.to_string());
-    if let Ok(run) = &run {
-        let measured = MeasuredEps::from_execution(&run.execution);
+    /// Each node's final certified ε̂ as a `sync.eps_hat_ns.n{i}` gauge
+    /// (campaign merging keeps the worst level).
+    fn publish(cfg: &ScenarioConfig, exec: &Execution<SyncAction>, hub: &MetricsHub) {
+        let measured = MeasuredEps::from_execution(exec);
         for i in 0..cfg.nodes {
             let node = NodeId(i as usize);
             if let Some(cert) = measured.last_for(node) {
-                built
-                    .hub
-                    .set_gauge(&format!("sync.eps_hat_ns.{node}"), cert.eps_hat.as_nanos());
+                hub.set_gauge(&format!("sync.eps_hat_ns.{node}"), cert.eps_hat.as_nanos());
             }
         }
     }
-    let verdicts = judge(&sync_oracles(cfg), &run);
-    finish_case(&built, verdicts, run)
 }
 
-/// Collapses a typed [`Judged`] result into the kind-erased
-/// [`CaseOutcome`] the exploration loop stores and compares.
-pub(crate) fn outcome_of<A: Action>(judged: Judged<A>) -> CaseOutcome {
-    let (events, fp) = match &judged.run {
-        Ok(r) => (r.execution.len(), fingerprint(&r.execution)),
-        Err(_) => (0, 0),
-    };
-    CaseOutcome {
-        violations: judged.violations,
-        events,
-        rejected_clock_requests: judged.rejected_clock_requests,
-        fingerprint: fp,
-        metrics: judged.metrics,
-    }
-}
-
-/// Runs one case of any scenario kind and judges it post-hoc — the
-/// generic entry point campaigns, `replay_artifact` and one-off callers
-/// share.
+/// Runs one case of any scenario kind — the kind-erased entry point
+/// campaigns, `replay_artifact` and one-off callers share, and the one
+/// place a kind is mapped to its family. `online` asks for the online
+/// judge; [`run_scenario`] grants it where the family supports it.
 #[must_use]
-pub fn run_case(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64) -> CaseOutcome {
+pub fn run_case(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64, online: bool) -> CaseOutcome {
     match cfg.kind {
-        ScenarioKind::HeartbeatRestart => outcome_of(run_heartbeat_restart(cfg, plan, seed)),
         ScenarioKind::Heartbeat
         | ScenarioKind::HeartbeatCrash
+        | ScenarioKind::HeartbeatRestart
         | ScenarioKind::HeartbeatGray
         | ScenarioKind::HeartbeatBidi
         | ScenarioKind::Relay
-        | ScenarioKind::Partition => outcome_of(run_heartbeat(cfg, plan, seed)),
+        | ScenarioKind::Partition => {
+            run_scenario::<HeartbeatFamily>(cfg, plan, seed, online).into()
+        }
         ScenarioKind::ClockFleet | ScenarioKind::ClockFleetLarge => {
-            outcome_of(run_clockfleet(cfg, plan, seed))
+            run_scenario::<ClockFleetFamily>(cfg, plan, seed, online).into()
         }
         ScenarioKind::Mutex | ScenarioKind::MutexContended => {
-            outcome_of(run_mutex(cfg, plan, seed))
+            run_scenario::<MutexFamily>(cfg, plan, seed, online).into()
         }
         ScenarioKind::Register | ScenarioKind::RegisterTriple => {
-            outcome_of(run_register(cfg, plan, seed))
+            run_scenario::<RegisterFamily>(cfg, plan, seed, online).into()
         }
-        ScenarioKind::Counter => outcome_of(run_counter(cfg, plan, seed)),
-        ScenarioKind::SyncProbe | ScenarioKind::SyncRounds => outcome_of(run_sync(cfg, plan, seed)),
+        ScenarioKind::Counter => run_scenario::<CounterFamily>(cfg, plan, seed, online).into(),
+        ScenarioKind::SyncProbe | ScenarioKind::SyncRounds => {
+            run_scenario::<SyncFamily>(cfg, plan, seed, online).into()
+        }
     }
 }
 
@@ -1959,7 +1920,7 @@ mod tests {
     fn clean_cases_pass_all_oracles_in_every_scenario() {
         for kind in ScenarioKind::all() {
             let cfg = ScenarioConfig::default_for(kind);
-            let out = run_case(&cfg, &FaultPlan::empty(), 1);
+            let out = run_case(&cfg, &FaultPlan::empty(), 1, false);
             assert!(
                 out.violations.is_empty(),
                 "{}: {:?}",
@@ -1973,7 +1934,7 @@ mod tests {
     #[test]
     fn clean_clockfleet_case_rejects_no_clock_requests() {
         let cfg = ScenarioConfig::clockfleet_default();
-        let out = run_case(&cfg, &FaultPlan::empty(), 1);
+        let out = run_case(&cfg, &FaultPlan::empty(), 1, false);
         assert!(out.violations.is_empty(), "{:?}", out.violations);
         assert_eq!(out.rejected_clock_requests, 0);
     }
@@ -1982,7 +1943,7 @@ mod tests {
     fn crash_is_detected_within_the_bound() {
         let mut cfg = ScenarioConfig::heartbeat_default();
         cfg.crash_at_ns = Some(150_000_000);
-        let out = run_case(&cfg, &FaultPlan::empty(), 3);
+        let out = run_case(&cfg, &FaultPlan::empty(), 3, false);
         assert!(out.violations.is_empty(), "{:?}", out.violations);
     }
 
@@ -1996,8 +1957,8 @@ mod tests {
         straight.kind = ScenarioKind::HeartbeatCrash;
         straight.restart_at_ns = None;
         for seed in [1u64, 7, 0x0C1A_551C] {
-            let a = run_case(&restart, &FaultPlan::empty(), seed);
-            let b = run_case(&straight, &FaultPlan::empty(), seed);
+            let a = run_case(&restart, &FaultPlan::empty(), seed, false);
+            let b = run_case(&straight, &FaultPlan::empty(), seed, false);
             assert_eq!(a, b, "seed {seed}: restart diverged from straight run");
         }
     }

@@ -18,7 +18,6 @@
 //! confirmation re-run, and `shrink_probes` therefore counts true case
 //! executions.
 
-use crate::online::run_case_online;
 use crate::plan::FaultPlan;
 use crate::scenario::{run_case, CaseOutcome, ScenarioConfig};
 
@@ -174,9 +173,8 @@ fn shrink_with_cache(
 }
 
 /// Runs one case and, if it fails, shrinks it with the cached ddmin
-/// driver. The primary and every probe go through the same closure —
-/// the online judge where `online` is set and the kind supports it, the
-/// post-hoc judge otherwise — so the shrink predicate is self-consistent
+/// driver. The primary and every probe go through the same closure with
+/// the same `online` flag, so the shrink predicate is self-consistent
 /// with the verdict that failed the case.
 pub(crate) fn run_shrinkable_case(
     scenario: &ScenarioConfig,
@@ -185,14 +183,7 @@ pub(crate) fn run_shrinkable_case(
     online: bool,
     telemetry: &mut CampaignTelemetry,
 ) -> (CaseOutcome, Option<ShrinkResult>) {
-    let run = |p: &FaultPlan| {
-        let judged_online = if online {
-            run_case_online(scenario, p, seed)
-        } else {
-            None
-        };
-        judged_online.unwrap_or_else(|| run_case(scenario, p, seed))
-    };
+    let run = |p: &FaultPlan| run_case(scenario, p, seed, online);
     let outcome = run(plan);
     if outcome.violations.is_empty() {
         return (outcome, None);

@@ -2,9 +2,9 @@
 //! boundary values, backward-jump rejection, and artifact round-trips.
 
 use psync_explorer::{
-    replay_artifact, run_campaign, run_campaign_with_telemetry, run_case, run_heartbeat, Artifact,
-    CampaignConfig, CampaignTelemetry, FaultEntry, FaultPlan, Inadmissible, ScenarioConfig,
-    ScenarioKind, ARTIFACT_VERSION,
+    replay_artifact, run_campaign, run_campaign_with_telemetry, run_case, run_scenario, Artifact,
+    CampaignConfig, CampaignTelemetry, FaultEntry, FaultPlan, HeartbeatFamily, Inadmissible,
+    ScenarioConfig, ScenarioKind, ARTIFACT_VERSION,
 };
 
 /// The acceptance scenario: a channel bug that delivers a boundary delay
@@ -74,8 +74,8 @@ fn seeded_late_delivery_bug_is_found_shrunk_and_replayed() {
     // Strongest form: the whole recorded executions are equal (Arc-backed
     // Execution equality), not just their fingerprints — and so are the
     // observer metrics.
-    let a = run_heartbeat(&cfg, plan, failure.artifact.seed);
-    let b = run_heartbeat(&cfg, plan, failure.artifact.seed);
+    let a = run_scenario::<HeartbeatFamily>(&cfg, plan, failure.artifact.seed, false);
+    let b = run_scenario::<HeartbeatFamily>(&cfg, plan, failure.artifact.seed, false);
     let run_a = a.run.expect("case runs");
     let run_b = b.run.expect("case runs");
     assert_eq!(run_a.execution, run_b.execution);
@@ -161,7 +161,7 @@ fn skew_of_exactly_eps_is_admissible_and_survives() {
             }],
         };
         plan.validate(&env).expect("|offset| = eps is admissible");
-        let out = run_case(&cfg, &plan, 7);
+        let out = run_case(&cfg, &plan, 7, false);
         assert!(out.violations.is_empty(), "{:?}", out.violations);
     }
 }
@@ -208,7 +208,7 @@ fn delays_at_exactly_d1_and_d2_are_admissible_and_survive() {
             }],
         };
         plan.validate(&env).expect("boundary delay is admissible");
-        let out = run_case(&cfg, &plan, 11);
+        let out = run_case(&cfg, &plan, 11, false);
         assert!(
             out.violations.is_empty(),
             "delay {delay}: {:?}",
@@ -265,7 +265,7 @@ fn attempted_backward_jump_is_rejected_by_the_guard_not_the_oracles() {
     };
     plan.validate(&env)
         .expect("attempting a backward jump is admissible");
-    let out = run_case(&cfg, &plan, 13);
+    let out = run_case(&cfg, &plan, 13, false);
     assert!(
         out.rejected_clock_requests > 0,
         "the guard should have clamped the scripted backward jump"
@@ -302,7 +302,7 @@ fn artifact_round_trip_matches_direct_execution() {
     };
     plan.validate(&cfg.envelope()).expect("admissible");
     let seed = 0xD15C_0B01;
-    let direct = run_case(&cfg, &plan, seed);
+    let direct = run_case(&cfg, &plan, seed, false);
     assert!(direct.violations.is_empty(), "{:?}", direct.violations);
 
     let artifact = Artifact {
@@ -371,4 +371,71 @@ fn inadmissible_artifact_is_refused() {
     };
     let err = replay_artifact(&artifact).unwrap_err();
     assert!(err.contains("inadmissible"), "{err}");
+}
+
+/// A replay artifact is input from outside the program: a config the
+/// factories would assert on, divide by or index with is refused by
+/// `replay_artifact`, not run into a panic.
+#[test]
+fn malformed_artifact_configs_are_refused() {
+    let refused = |config: ScenarioConfig| {
+        let artifact = Artifact {
+            version: ARTIFACT_VERSION,
+            config,
+            seed: 1,
+            plan: FaultPlan::empty(),
+            violation: None,
+        };
+        let parsed = Artifact::from_json(&artifact.to_json()).expect("well-formed JSON");
+        replay_artifact(&parsed).expect_err("an out-of-range config must not run")
+    };
+    let mut unordered = ScenarioConfig::heartbeat_default();
+    (unordered.d1_ns, unordered.d2_ns) = (unordered.d2_ns, unordered.d1_ns);
+    assert!(refused(unordered).contains("d1_ns <= d2_ns"));
+    let mut empty_fleet = ScenarioConfig::default_for(ScenarioKind::SyncProbe);
+    empty_fleet.nodes = 0;
+    assert!(refused(empty_fleet).contains("node count"));
+    let mut never_beats = ScenarioConfig::heartbeat_default();
+    never_beats.period_ns = 0;
+    assert!(refused(never_beats).contains("period_ns > 0"));
+
+    // Every catalog config, and every canary's, is in range.
+    for kind in ScenarioKind::all() {
+        ScenarioConfig::default_for(kind)
+            .validate()
+            .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+    }
+    for canary in psync_explorer::CanaryKind::all() {
+        canary
+            .scenario()
+            .validate()
+            .expect("canary configs are in range");
+    }
+}
+
+/// The seam is the runner's, not the heartbeat family's: cut any
+/// kind's case anywhere and the pasted execution is the straight one.
+/// (The metrics also count the extra stop at the seam, so they match
+/// only where the run visits that instant anyway, as the catalog's
+/// heartbeat-tick seam does.)
+#[test]
+fn a_seam_in_any_family_pastes_to_the_same_execution() {
+    for kind in ScenarioKind::all() {
+        let straight = ScenarioConfig {
+            restart_at_ns: None,
+            ..ScenarioConfig::default_for(kind)
+        };
+        let seamed = ScenarioConfig {
+            restart_at_ns: Some(straight.horizon_ns / 3 + 1),
+            ..straight.clone()
+        };
+        let plan = FaultPlan::generate(7, &straight.envelope(), 6);
+        let a = run_case(&seamed, &plan, 7, false);
+        let b = run_case(&straight, &plan, 7, false);
+        assert_eq!(
+            (a.events, a.fingerprint, a.violations),
+            (b.events, b.fingerprint, b.violations),
+            "{kind:?}"
+        );
+    }
 }

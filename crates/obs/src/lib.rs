@@ -14,10 +14,9 @@
 //!   in [`psync_automata::relations`] (the reference
 //!   `tests/prop_monitors.rs` holds them to) but with memory bounded by
 //!   the reference trace.
-//! - [`shard`] — deterministic parallel judging: [`check_all_sharded`]
-//!   fans a slice of oracles across a scoped thread pool, merging
-//!   results in a fixed order so verdicts and metrics are bit-identical
-//!   to the sequential path.
+//! - [`shard`] — judging with its work accounted: [`check_all_sharded`]
+//!   checks a slice of oracles in order and returns the violations with
+//!   a deterministic `monitor.*` snapshot.
 //! - [`online`] — [`OnlineJudge`], an [`psync_executor::Observer`] that
 //!   feeds events to [`psync_verify::StreamOracle`]s *during* the run and
 //!   exposes a handle for short-circuiting the moment a violation is
@@ -49,4 +48,4 @@ pub use observe::{
     DELAY_NS_BOUNDS, DRIFT_NS_BOUNDS, QUEUE_DEPTH_BOUNDS,
 };
 pub use online::OnlineJudge;
-pub use shard::{check_all_sharded, monitor_snapshot};
+pub use shard::check_all_sharded;

@@ -65,4 +65,4 @@ pub use object_linearizable::{
 pub use oracle::{check_all, check_fifo_per_edge, FnOracle, Oracle, ProblemOracle};
 pub use problems::{LinearizableRegister, SuperlinearizableRegister};
 pub use sequential::check_sequentially_consistent;
-pub use stream::{FifoStream, FoldOracle, StreamOracle};
+pub use stream::{fold, FifoStream, FoldOracle, StreamOracle};

@@ -23,10 +23,10 @@ use crate::stream::{fold, FifoStream};
 
 /// A named pass/fail check over one recorded execution.
 ///
-/// Oracles are `Send + Sync` so a slice of boxed oracles can be checked
-/// from several shards of a scoped thread pool at once (see
-/// `psync-obs`'s `check_all_sharded`); an oracle only reads the shared
-/// execution, so thread-safety costs nothing beyond the bound.
+/// Oracles are `Send + Sync` so a set of boxed oracles can be built on
+/// one thread and checked on another (campaign workers, the live
+/// monitor); an oracle only reads the shared execution, so thread-safety
+/// costs nothing beyond the bound.
 pub trait Oracle<A: Action>: Send + Sync {
     /// A short stable name, used in reports and replay artifacts.
     fn name(&self) -> String;

@@ -91,8 +91,8 @@ impl<A: Action> Oracle<A> for FoldOracle<A> {
 }
 
 /// Feeds `exec.events()` to `oracle` by index and closes it at
-/// `exec.ltime()`.
-pub(crate) fn fold<A: Action>(oracle: &mut dyn StreamOracle<A>, exec: &Execution<A>) -> Verdict {
+/// `exec.ltime()` — post-hoc judging of a streamable property.
+pub fn fold<A: Action>(oracle: &mut dyn StreamOracle<A>, exec: &Execution<A>) -> Verdict {
     for (i, event) in exec.events().iter().enumerate() {
         oracle.observe_event(i, event);
     }
