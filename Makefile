@@ -1,6 +1,6 @@
 # Convenience targets for the psync workspace.
 
-.PHONY: all test lint doc examples experiments bench loc loc-check
+.PHONY: all test lint doc examples experiments bench bench-pairs loc loc-check
 
 all: test lint
 
@@ -26,6 +26,13 @@ experiments:
 
 bench:
 	cargo bench -p psync-bench
+
+# Alternating parent/change pairs of one benchmark workload (see
+# scripts/bench_pairs.sh): make bench-pairs PARENT_BIN=… CHANGE_BIN=…
+# WORKLOAD=campaign_fleet [PAIRS=…] [SECONDS=…] [SEED=…]; unset ones take
+# the script's defaults.
+bench-pairs:
+	scripts/bench_pairs.sh "$(PARENT_BIN)" "$(CHANGE_BIN)" "$(WORKLOAD)" "$(PAIRS)" "$(SECONDS)" "$(SEED)"
 
 # Lines of Rust: product source (the figure ROADMAP item 4 budgets
 # against) on its own line, then everything that exercises it. `vendor/`

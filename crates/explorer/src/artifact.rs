@@ -6,9 +6,9 @@
 //! oracles reported. [`replay_artifact`] rebuilds the engine from those
 //! three inputs and re-runs it — determinism of the whole stack (seeded
 //! schedulers, seeded delay policies, scripted clocks) is what makes the
-//! replay reproduce the identical recorded execution, which the
-//! regression tests check via [`Execution`](psync_automata::Execution)
-//! equality and the [`CaseOutcome`] fingerprint.
+//! replay reproduce the identical recorded execution. The tests check
+//! that by [`Execution`](psync_automata::Execution) equality and
+//! [`fingerprint`](crate::fingerprint); a [`CaseOutcome`] carries no hash.
 
 use crate::json::{self, Json};
 use crate::plan::FaultPlan;
@@ -101,8 +101,8 @@ impl Artifact {
 }
 
 /// Re-executes an artifact's case from scratch and returns the judged
-/// outcome. Deterministic: replaying the same artifact twice yields
-/// identical [`CaseOutcome`]s (including the execution fingerprint).
+/// outcome. Deterministic: replaying the same artifact twice runs the
+/// identical execution and yields identical [`CaseOutcome`]s.
 ///
 /// # Errors
 ///

@@ -36,9 +36,9 @@
 //! replay artifact. Only the `heartbeat` scenario carries the bug, so the
 //! flag is rejected when `--scenario` selects anything else.
 //!
-//! `--metrics-out PATH` writes the observer metrics aggregated across all
-//! campaigns (counters and histograms, deterministic for fixed flags) as
-//! a JSON snapshot — CI uploads it as a build artifact.
+//! `--metrics-out PATH` writes the observer metrics aggregated over the
+//! scenario campaigns, not the canary ones (counters and histograms,
+//! deterministic for fixed flags), as a JSON snapshot CI uploads.
 //!
 //! `--report-out PATH` writes the campaign telemetry — per-scenario
 //! coverage (events, fault points hit vs. catalog, per-oracle violation

@@ -9,14 +9,7 @@ use psync_executor::{RandomScheduler, Scheduler, SchedulerCheckpoint, ScriptedCl
 use psync_net::{ChannelFault, DelayPolicy, MsgId, NodeId};
 use psync_time::{DelayBounds, Duration, Time};
 
-use crate::plan::{at_ns, ns, FaultEntry, FaultPlan};
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use crate::plan::{at_ns, ns, splitmix64, FaultEntry, FaultPlan};
 
 /// The per-sender message counter a plan entry targets: the low 32 bits
 /// of a [`MsgId`] built by `MsgId::from_parts(node, counter)`.

@@ -310,7 +310,8 @@ mod tests {
     use super::*;
     use crate::canary::CanaryKind;
     use crate::scenario::{
-        assemble, run_case, run_scenario, HeartbeatFamily, Scenario, ScenarioKind,
+        assemble, run_case, run_scenario, CaseOutcome, ClockFleetFamily, CounterFamily,
+        HeartbeatFamily, MutexFamily, RegisterFamily, Scenario, ScenarioKind, SyncFamily,
     };
     use psync_obs::OnlineJudge;
 
@@ -385,10 +386,8 @@ mod tests {
         assert!(online.violations.is_empty());
         // Same execution: attaching the judge observer never perturbs
         // the run, and a clean case is never short-circuited.
-        assert_eq!(
-            offline.run.as_ref().unwrap().execution.len(),
-            online.run.as_ref().unwrap().execution.len()
-        );
+        let (a, b) = (offline.run.as_ref().unwrap(), online.run.as_ref().unwrap());
+        assert_eq!(a.execution, b.execution);
     }
 
     #[test]
@@ -428,28 +427,29 @@ mod tests {
             ..ScenarioConfig::default_for(ScenarioKind::HeartbeatGray)
         };
         let plan = FaultPlan::default();
-        assert_eq!(
-            run_case(&cfg, &plan, 11, true),
-            run_case(&cfg, &plan, 11, true)
-        );
+        let [a, b] = [(); 2].map(|()| run_scenario::<HeartbeatFamily>(&cfg, &plan, 11, true));
+        let (run_a, run_b) = (a.run.as_ref().unwrap(), b.run.as_ref().unwrap());
+        assert_eq!(run_a.execution, run_b.execution);
+        assert_eq!(CaseOutcome::from(a), CaseOutcome::from(b));
     }
 
-    /// Where the online judge is declined — the nine kinds without stream
-    /// oracles, and the restart kind, whose checkpoint seam needs the
-    /// post-hoc path — the flag changes nothing at all. Where it is
-    /// granted, a clean case runs the identical execution to its natural
-    /// stop; only the judge bookkeeping differs (the replays are
-    /// post-hoc only).
+    /// Each kind through `run_case`'s family (asserted): where the online
+    /// judge is declined — the nine kinds without stream oracles, and the
+    /// restart kind, whose checkpoint seam needs the post-hoc path — the
+    /// flag changes nothing at all. Where it is granted, a clean case runs
+    /// the identical execution to its natural stop; only the judge
+    /// bookkeeping differs (the replays are post-hoc only).
     #[test]
     fn online_declines_non_heartbeat_kinds() {
-        let plan = FaultPlan::default();
-        for kind in ScenarioKind::all() {
-            let cfg = ScenarioConfig::default_for(kind);
-            let offline = run_case(&cfg, &plan, 1, false);
-            let online = run_case(&cfg, &plan, 1, true);
+        use ScenarioKind as K;
+        fn check<S: Scenario>(kind: ScenarioKind) {
+            let (cfg, plan) = (ScenarioConfig::default_for(kind), FaultPlan::default());
+            let [offline, online] = [false, true].map(|o| run_scenario::<S>(&cfg, &plan, 1, o));
+            let (a, b) = (online.run.as_ref().unwrap(), offline.run.as_ref().unwrap());
+            assert_eq!(a.execution, b.execution, "{kind:?}");
+            let [offline, online] = [offline, online].map(CaseOutcome::from);
+            assert_eq!(offline, run_case(&cfg, &plan, 1, false), "{kind:?}");
             if kind.is_heartbeat() && kind != ScenarioKind::HeartbeatRestart {
-                assert_eq!(online.events, offline.events, "{kind:?}");
-                assert_eq!(online.fingerprint, offline.fingerprint, "{kind:?}");
                 assert!(online.violations.is_empty(), "{kind:?}");
                 assert_ne!(
                     online.metrics.counter("monitor.checks"),
@@ -458,6 +458,16 @@ mod tests {
                 );
             } else {
                 assert_eq!(online, offline, "{kind:?}");
+            }
+        }
+        for kind in ScenarioKind::all() {
+            match kind {
+                K::ClockFleet | K::ClockFleetLarge => check::<ClockFleetFamily>(kind),
+                K::Mutex | K::MutexContended => check::<MutexFamily>(kind),
+                K::Register | K::RegisterTriple => check::<RegisterFamily>(kind),
+                K::Counter => check::<CounterFamily>(kind),
+                K::SyncProbe | K::SyncRounds => check::<SyncFamily>(kind),
+                _ => check::<HeartbeatFamily>(kind),
             }
         }
     }

@@ -28,7 +28,7 @@
 //! canaries replay the mutant faithfully.
 
 use core::cell::Cell;
-use std::fmt::Debug;
+use std::fmt::{self, Debug, Write as _};
 use std::hash::Hash;
 use std::rc::Rc;
 
@@ -66,7 +66,7 @@ use crate::faults::{
 };
 use crate::json::Json;
 use crate::online::{heartbeat_stream_oracles, ONLINE_CHUNK};
-use crate::plan::{at_ns, ns, FaultEnvelope, FaultPlan};
+use crate::plan::{at_ns, ns, splitmix64, FaultEnvelope, FaultPlan};
 
 /// Which system a case runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -595,9 +595,9 @@ impl ScenarioConfig {
     }
 }
 
-/// The judged result of one case: what the oracles said, a fingerprint of
-/// the recorded execution for replay-identity checks, and the metrics the
-/// attached observers collected.
+/// The judged result of one case, as campaigns consume it: the oracles'
+/// verdicts, the run's length and the observers' metrics. No hash of the
+/// execution: tests assert identity by `Execution` equality or [`fingerprint`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CaseOutcome {
     /// `(oracle name, violation)` pairs; empty = the run passed.
@@ -607,32 +607,32 @@ pub struct CaseOutcome {
     /// Clock-script requests the C1–C4 guard clamped (attempted backward
     /// jumps / over-ε readings that were rejected at run time).
     pub rejected_clock_requests: u64,
-    /// Order-sensitive hash of `(action, now, clock)` over all events.
-    pub fingerprint: u64,
     /// Observer metrics of the run (deterministic: replaying the case
     /// reproduces this snapshot bit-for-bit, `==` included).
     pub metrics: MetricsSnapshot,
 }
 
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+/// A [`fmt::Write`] sink that folds every byte written to it into the
+/// hash, so formatting an event costs no `String`.
+struct HashSink(u64);
+
+impl fmt::Write for HashSink {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = s.bytes().fold(self.0, |h, b| splitmix64(h ^ u64::from(b)));
+        Ok(())
+    }
 }
 
-/// Order-sensitive fingerprint of a recorded execution.
+/// Order-sensitive fingerprint of a recorded execution: every event's
+/// `{action:?}@{now ns}@{clock:?}` bytes, hashed in order.
 #[must_use]
 pub fn fingerprint<A: Action>(exec: &Execution<A>) -> u64 {
-    let mut h = 0xC1A5_51C0_DE00_0001u64;
+    let mut h = HashSink(0xC1A5_51C0_DE00_0001);
     for e in exec.events() {
-        let line = format!("{:?}@{}@{:?}", e.action, e.now.as_nanos(), e.clock);
-        for b in line.bytes() {
-            h = splitmix64(h ^ u64::from(b));
-        }
-        h = splitmix64(h);
+        write!(h, "{:?}@{}@{:?}", e.action, e.now.as_nanos(), e.clock).expect("infallible");
+        h.0 = splitmix64(h.0);
     }
-    h
+    h.0
 }
 
 const CASE_MAX_EVENTS: usize = 250_000;
@@ -661,15 +661,10 @@ pub struct Judged<A: Action> {
 /// exploration loop stores and compares.
 impl<A: Action> From<Judged<A>> for CaseOutcome {
     fn from(judged: Judged<A>) -> CaseOutcome {
-        let (events, fingerprint) = match &judged.run {
-            Ok(r) => (r.execution.len(), fingerprint(&r.execution)),
-            Err(_) => (0, 0),
-        };
         CaseOutcome {
             violations: judged.violations,
-            events,
+            events: judged.run.as_ref().map_or(0, |r| r.execution.len()),
             rejected_clock_requests: judged.rejected_clock_requests,
-            fingerprint,
             metrics: judged.metrics,
         }
     }
@@ -790,14 +785,13 @@ pub(crate) fn assemble<S: Scenario>(
 /// *Drive.* Straight to the horizon; or, where the config carries a
 /// `restart_at_ns` seam, to the seam, through [`Engine::checkpoint`] into
 /// a freshly built engine, and on to the horizon — by Lemma 2.1 (pasting)
-/// the recorded execution, and therefore every verdict and the
-/// fingerprint, is bit-identical to an uninterrupted run, and so are the
-/// metrics when the seam is an instant the run stops at anyway (the
-/// catalog's is a heartbeat tick); or, where `online` is set, the family
-/// has stream oracles and there is no seam, in `ONLINE_CHUNK`-event steps
-/// under an [`OnlineJudge`], stopping the moment a violation is certain.
-/// Every other `online` case is judged post-hoc: this is where the
-/// fallback lives.
+/// the recorded execution, and therefore every verdict, is bit-identical
+/// to an uninterrupted run, and so are the metrics when the seam is an
+/// instant the run stops at anyway (the catalog's is a heartbeat tick);
+/// or, where `online` is set, the family has stream oracles and there is
+/// no seam, in `ONLINE_CHUNK`-event steps under an [`OnlineJudge`],
+/// stopping the moment a violation is certain. Every other `online` case
+/// is judged post-hoc: this is where the fallback lives.
 ///
 /// *Judge.* A short-circuited case reports its one certain violation
 /// (and bumps `monitor.short_circuits`); an online case that reaches its
@@ -1947,8 +1941,8 @@ mod tests {
         assert!(out.violations.is_empty(), "{:?}", out.violations);
     }
 
-    /// Lemma 2.1 at the checkpoint seam: the restart scenario's outcome —
-    /// violations, event count, fingerprint, metrics — is bit-identical
+    /// Lemma 2.1 at the checkpoint seam: the restart scenario's execution
+    /// and outcome — violations, event count, metrics — are bit-identical
     /// to an uninterrupted run of the same system.
     #[test]
     fn restart_run_matches_the_uninterrupted_run() {
@@ -1957,9 +1951,11 @@ mod tests {
         straight.kind = ScenarioKind::HeartbeatCrash;
         straight.restart_at_ns = None;
         for seed in [1u64, 7, 0x0C1A_551C] {
-            let a = run_case(&restart, &FaultPlan::empty(), seed, false);
-            let b = run_case(&straight, &FaultPlan::empty(), seed, false);
-            assert_eq!(a, b, "seed {seed}: restart diverged from straight run");
+            let [a, b] = [&restart, &straight]
+                .map(|cfg| run_scenario::<HeartbeatFamily>(cfg, &FaultPlan::empty(), seed, false));
+            let (run_a, run_b) = (a.run.as_ref().unwrap(), b.run.as_ref().unwrap());
+            assert_eq!(run_a.execution, run_b.execution, "seed {seed}");
+            assert_eq!(CaseOutcome::from(a), CaseOutcome::from(b), "seed {seed}");
         }
     }
 

@@ -207,7 +207,6 @@ mod tests {
             violations,
             events,
             rejected_clock_requests: 0,
-            fingerprint: events as u64,
             metrics: psync_obs::MetricsSnapshot::default(),
         }
     }

@@ -1,6 +1,9 @@
 //! End-to-end explorer tests: the seeded-bug acceptance case, envelope
 //! boundary values, backward-jump rejection, and artifact round-trips.
 
+mod common;
+
+use common::fingerprinted;
 use psync_explorer::{
     replay_artifact, run_campaign, run_campaign_with_telemetry, run_case, run_scenario, Artifact,
     CampaignConfig, CampaignTelemetry, FaultEntry, FaultPlan, HeartbeatFamily, Inadmissible,
@@ -64,16 +67,22 @@ fn seeded_late_delivery_bug_is_found_shrunk_and_replayed() {
     assert_eq!(parsed, failure.artifact);
 
     // ...and replaying it re-executes the identical case: same verdicts,
-    // same event count, same execution fingerprint, twice over.
+    // same event count, same metrics, same execution fingerprint, twice
+    // over.
     let first = replay_artifact(&parsed).expect("artifact replays");
     let second = replay_artifact(&parsed).expect("artifact replays");
     assert_eq!(first, second);
+    let (replayed, hash) = fingerprinted(&parsed.config, &parsed.plan, parsed.seed);
+    assert_eq!(replayed, first);
+    assert_eq!(
+        fingerprinted(&parsed.config, &parsed.plan, parsed.seed).1,
+        hash
+    );
     assert!(!first.violations.is_empty());
     assert_eq!(first.violations[0].0, "delivery envelope");
 
     // Strongest form: the whole recorded executions are equal (Arc-backed
-    // Execution equality), not just their fingerprints — and so are the
-    // observer metrics.
+    // Execution equality) — and so are the observer metrics.
     let a = run_scenario::<HeartbeatFamily>(&cfg, plan, failure.artifact.seed, false);
     let b = run_scenario::<HeartbeatFamily>(&cfg, plan, failure.artifact.seed, false);
     let run_a = a.run.expect("case runs");
@@ -302,7 +311,7 @@ fn artifact_round_trip_matches_direct_execution() {
     };
     plan.validate(&cfg.envelope()).expect("admissible");
     let seed = 0xD15C_0B01;
-    let direct = run_case(&cfg, &plan, seed, false);
+    let (direct, direct_hash) = fingerprinted(&cfg, &plan, seed);
     assert!(direct.violations.is_empty(), "{:?}", direct.violations);
 
     let artifact = Artifact {
@@ -316,6 +325,9 @@ fn artifact_round_trip_matches_direct_execution() {
     assert_eq!(parsed, artifact);
     let replayed = replay_artifact(&parsed).expect("replays");
     assert_eq!(replayed, direct);
+    // ...and the parsed inputs record the identical execution.
+    let (_, replayed_hash) = fingerprinted(&parsed.config, &parsed.plan, parsed.seed);
+    assert_eq!(replayed_hash, direct_hash);
 
     // The metric snapshot is part of the outcome equality above; pin the
     // interesting invariants explicitly so a regression reads clearly.
@@ -430,11 +442,11 @@ fn a_seam_in_any_family_pastes_to_the_same_execution() {
             ..straight.clone()
         };
         let plan = FaultPlan::generate(7, &straight.envelope(), 6);
-        let a = run_case(&seamed, &plan, 7, false);
-        let b = run_case(&straight, &plan, 7, false);
+        let (a, a_hash) = fingerprinted(&seamed, &plan, 7);
+        let (b, b_hash) = fingerprinted(&straight, &plan, 7);
         assert_eq!(
-            (a.events, a.fingerprint, a.violations),
-            (b.events, b.fingerprint, b.violations),
+            (a.events, a_hash, a.violations),
+            (b.events, b_hash, b.violations),
             "{kind:?}"
         );
     }

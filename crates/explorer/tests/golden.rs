@@ -9,9 +9,13 @@
 //! in a family, a new metric in a case's hub). Then the failure message
 //! prints the row to paste.
 
-use psync_explorer::{run_case, CanaryKind, FaultPlan, ScenarioConfig, ScenarioKind};
+mod common;
 
-/// `(events, fingerprint, violations.len(), fnv1a(metrics.to_json()))`.
+use common::fingerprinted;
+use psync_explorer::{CanaryKind, FaultPlan, ScenarioConfig, ScenarioKind};
+
+/// `(events, fingerprint(execution), violations.len(),
+/// fnv1a(metrics.to_json()))`.
 type Pin = (usize, u64, usize, u64);
 
 /// Per config: the empty plan at seed 1, then
@@ -155,11 +159,13 @@ fn fnv1a(text: &str) -> u64 {
     })
 }
 
+/// `fingerprinted` also holds the streamed hash to the `format!`-per-event
+/// reference on each of the 52 executions pinned here.
 fn pin(cfg: &ScenarioConfig, plan: &FaultPlan, seed: u64) -> Pin {
-    let out = run_case(cfg, plan, seed, false);
+    let (out, fingerprint) = fingerprinted(cfg, plan, seed);
     (
         out.events,
-        out.fingerprint,
+        fingerprint,
         out.violations.len(),
         fnv1a(&out.metrics.to_json()),
     )

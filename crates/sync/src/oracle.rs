@@ -21,6 +21,7 @@
 //! prefix treats both as the same family.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use psync_automata::{Execution, Verdict};
 use psync_net::{NodeId, SysAction};
@@ -83,12 +84,12 @@ impl Oracle<SyncAction> for EpsHatOracle {
     }
 
     fn check(&self, exec: &Execution<SyncAction>) -> Verdict {
-        // Latest clock−now offset per node name, updated as events pass.
-        let mut offsets: BTreeMap<String, Duration> = BTreeMap::new();
+        // Latest clock−now offset per node name (the event's `Arc<str>`).
+        let mut offsets: BTreeMap<Arc<str>, Duration> = BTreeMap::new();
         let mut last_cert: BTreeMap<usize, (Duration, Vec<NodeId>)> = BTreeMap::new();
         for (i, e) in exec.events().iter().enumerate() {
             if let (Some(clock), Some(node)) = (e.clock, e.node.as_ref()) {
-                offsets.insert(node.to_string(), clock - e.now);
+                offsets.insert(Arc::clone(node), clock - e.now);
             }
             if let SysAction::App(SyncOp::Certify {
                 node,
@@ -97,9 +98,9 @@ impl Oracle<SyncAction> for EpsHatOracle {
                 peers,
             }) = &e.action
             {
-                if let Some(mine) = offsets.get(&node.to_string()) {
+                if let Some(mine) = offsets.get(node.to_string().as_str()) {
                     for peer in peers {
-                        let Some(theirs) = offsets.get(&peer.to_string()) else {
+                        let Some(theirs) = offsets.get(peer.to_string().as_str()) else {
                             continue;
                         };
                         let skew = (*mine - *theirs).abs();
@@ -142,7 +143,6 @@ impl Oracle<SyncAction> for EpsHatOracle {
 mod tests {
     use super::*;
     use psync_automata::{ActionKind, TimedEvent};
-    use std::sync::Arc;
 
     fn clocked(node: usize, ms: i64, skew_us: i64) -> TimedEvent<SyncAction> {
         let now = Time::ZERO + Duration::from_millis(ms);
