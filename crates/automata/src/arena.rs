@@ -2,8 +2,8 @@
 //! interned node-name table, snapshotted by reference count.
 //!
 //! The execution engine appends every event of a run into one
-//! [`EventArena`]; checkpoints, observers and recorded [`Execution`]s all
-//! view the *same* flat storage through [`ArenaSnapshot`]s — an `Arc` to
+//! [`EventArena`]; observers and recorded [`Execution`]s all view the
+//! *same* flat storage through [`ArenaSnapshot`]s — an `Arc` to
 //! the arena plus a prefix length, so taking a snapshot is O(1) and two
 //! snapshots of the same run share every byte of the common prefix. The
 //! engine copy-on-writes (`Arc::make_mut`) only when it appends while an
@@ -108,8 +108,8 @@ impl<A> EventArena<A> {
 }
 
 /// An O(1), immutable view of the first `len` events of a shared
-/// [`EventArena`] — the unit of sharing between the engine's live log,
-/// checkpoints, and recorded executions.
+/// [`EventArena`] — the unit of sharing between the engine's live log
+/// and recorded executions.
 ///
 /// Cloning a snapshot clones an `Arc` (and a length), never events.
 /// [`ArenaSnapshot::prefix`] produces shorter views of the same storage
@@ -177,8 +177,7 @@ impl<A> ArenaSnapshot<A> {
     }
 
     /// The shared arena, re-ownable: when the view is full this is a plain
-    /// `Arc` clone; a proper prefix materializes a truncated copy (the
-    /// rare restore-into-shorter-prefix path).
+    /// `Arc` clone; a proper prefix materializes a truncated copy.
     #[must_use]
     pub fn to_arena(&self) -> Arc<EventArena<A>>
     where

@@ -9,55 +9,15 @@
 //! 7.2): adversarial strategies here stress the `ε` bound harder than a
 //! real time service would.
 
-use core::any::Any;
-
 use psync_time::{Duration, Time};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// An opaque snapshot of one [`ClockStrategy`]'s mutable state, captured
-/// by [`ClockStrategy::checkpoint`] and applied by
-/// [`ClockStrategy::restore`].
-///
-/// The snapshot is *detached*: it owns a deep copy of whatever the
-/// strategy considers state (drift offsets, RNG positions, rejection
-/// counts), so it can be restored into a different strategy instance of
-/// the same concrete type — the engine's checkpoint/fork machinery relies
-/// on exactly that to resume a run inside a freshly built sibling engine.
-/// Restoring is repeatable: one checkpoint may seed many probes.
-pub struct ClockCheckpoint(Option<Box<dyn Any>>);
-
-impl ClockCheckpoint {
-    /// A checkpoint for a strategy with no mutable state (the default for
-    /// pure strategies such as [`PerfectClock`] and [`OffsetClock`]).
-    #[must_use]
-    pub fn stateless() -> Self {
-        ClockCheckpoint(None)
-    }
-
-    /// Wraps a deep copy of a strategy's state.
-    #[must_use]
-    pub fn of<T: Clone + 'static>(state: &T) -> Self {
-        ClockCheckpoint(Some(Box::new(state.clone())))
-    }
-
-    /// Downcasts the captured state, if any was captured and the type
-    /// matches. Strategies ignore checkpoints they do not recognize — a
-    /// stateless checkpoint restored into a stateful strategy is a no-op.
-    #[must_use]
-    pub fn state<T: 'static>(&self) -> Option<&T> {
-        self.0.as_ref()?.downcast_ref()
-    }
-}
-
-impl core::fmt::Debug for ClockCheckpoint {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match &self.0 {
-            Some(_) => f.write_str("ClockCheckpoint(stateful)"),
-            None => f.write_str("ClockCheckpoint(stateless)"),
-        }
-    }
-}
+/// What [`ClockStrategy::checkpoint`] returns: nothing. It exists only
+/// because `benchmark/src/layers.rs` forwards the two checkpoint methods;
+/// the `benchmark` change of ROADMAP items 3/4 deletes it with them.
+#[derive(Debug)]
+pub struct ClockCheckpoint;
 
 /// Everything a strategy may look at when choosing the next clock value.
 #[derive(Debug, Clone, Copy)]
@@ -142,19 +102,16 @@ pub trait ClockStrategy {
         }
     }
 
-    /// Captures the strategy's mutable state. The default is stateless:
-    /// strategies whose readings are a pure function of the
-    /// [`AdvanceCtx`] need not override it. Stateful strategies must
-    /// capture *everything* their future readings depend on — the engine's
-    /// checkpoint/restore round-trip test fails otherwise.
+    /// A no-op nothing calls. Kept only because `benchmark/src/layers.rs`
+    /// forwards it; the `benchmark` change of ROADMAP items 3/4 deletes
+    /// it. A run is cut and continued in place instead (see
+    /// `Engine::run_until_events`).
     fn checkpoint(&self) -> ClockCheckpoint {
-        ClockCheckpoint::stateless()
+        ClockCheckpoint
     }
 
-    /// Restores state previously captured by [`ClockStrategy::checkpoint`].
-    /// May be called many times on the same checkpoint (one base run seeds
-    /// many forked probes) and on a *different* instance of the same
-    /// concrete type than the one that was captured.
+    /// A no-op nothing calls, kept for the same reason as
+    /// [`ClockStrategy::checkpoint`].
     fn restore(&mut self, checkpoint: &ClockCheckpoint) {
         let _ = checkpoint;
     }
@@ -167,18 +124,6 @@ impl ClockStrategy for Box<dyn ClockStrategy> {
 
     fn when_reaches(&self, now: Time, clock: Time, target_clock: Time) -> Time {
         (**self).when_reaches(now, clock, target_clock)
-    }
-
-    // Checkpointing must reach the *inner* strategy: harnesses hand
-    // `Box<dyn ClockStrategy>` values to builders that box again, and the
-    // default (stateless) methods on the outer box would silently discard
-    // the inner state.
-    fn checkpoint(&self) -> ClockCheckpoint {
-        (**self).checkpoint()
-    }
-
-    fn restore(&mut self, checkpoint: &ClockCheckpoint) {
-        (**self).restore(checkpoint);
     }
 }
 
@@ -290,16 +235,6 @@ impl ClockStrategy for DriftClock {
         self.offset = chosen - ctx.target;
         chosen
     }
-
-    fn checkpoint(&self) -> ClockCheckpoint {
-        ClockCheckpoint::of(&self.offset)
-    }
-
-    fn restore(&mut self, checkpoint: &ClockCheckpoint) {
-        if let Some(offset) = checkpoint.state::<Duration>() {
-            self.offset = *offset;
-        }
-    }
 }
 
 /// The clock offset performs a seeded bounded random walk inside
@@ -348,17 +283,6 @@ impl ClockStrategy for RandomWalkClock {
         let chosen = ctx.fit(ctx.target.saturating_add_duration(offset));
         self.offset = chosen - ctx.target;
         chosen
-    }
-
-    fn checkpoint(&self) -> ClockCheckpoint {
-        ClockCheckpoint::of(&(self.rng.clone(), self.offset))
-    }
-
-    fn restore(&mut self, checkpoint: &ClockCheckpoint) {
-        if let Some((rng, offset)) = checkpoint.state::<(StdRng, Duration)>() {
-            self.rng = rng.clone();
-            self.offset = *offset;
-        }
     }
 }
 
@@ -439,21 +363,6 @@ impl ClockStrategy for ScriptedClock {
         // Rate-1 between segment switches; good enough as an estimate (the
         // engine iterates and independently caps the advance).
         now + (target_clock - clock)
-    }
-
-    // The rejection counter is shared through an `Rc` handle held by the
-    // harness. The checkpoint captures its *value*, and restore writes the
-    // value back through this instance's own `Rc` — restoring must never
-    // alias the captured run's handle, or a probe resumed from the
-    // checkpoint would double-count into the base run's counter.
-    fn checkpoint(&self) -> ClockCheckpoint {
-        ClockCheckpoint::of(&self.rejections.get())
-    }
-
-    fn restore(&mut self, checkpoint: &ClockCheckpoint) {
-        if let Some(count) = checkpoint.state::<u64>() {
-            self.rejections.set(*count);
-        }
     }
 }
 
@@ -596,125 +505,6 @@ mod tests {
         assert_eq!(
             check_window(&mut DriftClock::new(-500), whole),
             whole.target - Duration::from_micros(500)
-        );
-    }
-
-    #[test]
-    fn drift_checkpoint_round_trips_offset() {
-        let mut original = DriftClock::new(1000);
-        let v1 = original.next_clock(ctx(0, 0, 100, None));
-        let cp = original.checkpoint();
-
-        // Restore into a *fresh* instance: it must continue exactly as the
-        // original does, twice over (checkpoints are reusable).
-        let next = AdvanceCtx {
-            now: Time::ZERO + ms(100),
-            clock: v1,
-            target: Time::ZERO + ms(700),
-            max_clock: None,
-            eps: ms(2),
-        };
-        let expected = original.next_clock(next);
-        for _ in 0..2 {
-            let mut fresh = DriftClock::new(1000);
-            fresh.restore(&cp);
-            assert_eq!(fresh.next_clock(next), expected);
-        }
-    }
-
-    #[test]
-    fn random_walk_checkpoint_round_trips_rng_and_offset() {
-        let mut original = RandomWalkClock::new(99, Duration::from_micros(500));
-        let mut clock = Time::ZERO;
-        let mut now = Time::ZERO;
-        for i in 1..20 {
-            let target = Time::ZERO + ms(i);
-            clock = original.next_clock(AdvanceCtx {
-                now,
-                clock,
-                target,
-                max_clock: None,
-                eps: ms(2),
-            });
-            now = target;
-        }
-        let cp = original.checkpoint();
-        let continuation = |w: &mut RandomWalkClock, mut clock: Time, mut now: Time| {
-            let mut out = Vec::new();
-            for i in 20..40 {
-                let target = Time::ZERO + ms(i);
-                clock = w.next_clock(AdvanceCtx {
-                    now,
-                    clock,
-                    target,
-                    max_clock: None,
-                    eps: ms(2),
-                });
-                now = target;
-                out.push(clock);
-            }
-            out
-        };
-        let mut fresh = RandomWalkClock::new(99, Duration::from_micros(500));
-        fresh.restore(&cp);
-        let resumed = continuation(&mut fresh, clock, now);
-        assert_eq!(resumed, continuation(&mut original, clock, now));
-    }
-
-    #[test]
-    fn scripted_checkpoint_restores_count_without_aliasing() {
-        let mut original = ScriptedClock::new(vec![(Time::ZERO, ms(-5))]);
-        let _ = original.next_clock(ctx(10, 10, 11, None));
-        assert_eq!(original.rejections().get(), 1);
-        let cp = original.checkpoint();
-
-        let mut fresh = ScriptedClock::new(vec![(Time::ZERO, ms(-5))]);
-        fresh.restore(&cp);
-        assert_eq!(fresh.rejections().get(), 1);
-        // The restored instance counts into its own handle only.
-        let _ = fresh.next_clock(ctx(11, 11, 12, None));
-        assert_eq!(fresh.rejections().get(), 2);
-        assert_eq!(
-            original.rejections().get(),
-            1,
-            "restore must not alias the captured run's counter"
-        );
-    }
-
-    #[test]
-    fn boxed_strategy_forwards_checkpoints_to_inner() {
-        // Builders box strategies that harnesses may already have boxed;
-        // the blanket impl on `Box<dyn ClockStrategy>` must reach through,
-        // or the inner state silently vanishes from checkpoints.
-        let mut boxed: Box<dyn ClockStrategy> = Box::new(DriftClock::new(1000));
-        let v1 = boxed.next_clock(ctx(0, 0, 100, None));
-        let cp = boxed.checkpoint();
-        assert!(
-            cp.state::<Duration>().is_some(),
-            "outer box returned a stateless checkpoint for a stateful inner strategy"
-        );
-        let next = AdvanceCtx {
-            now: Time::ZERO + ms(100),
-            clock: v1,
-            target: Time::ZERO + ms(700),
-            max_clock: None,
-            eps: ms(2),
-        };
-        let expected = boxed.next_clock(next);
-        let mut fresh: Box<dyn ClockStrategy> = Box::new(DriftClock::new(1000));
-        fresh.restore(&cp);
-        assert_eq!(fresh.next_clock(next), expected);
-    }
-
-    #[test]
-    fn stateless_checkpoint_is_ignored_by_stateful_strategies() {
-        let mut d = DriftClock::new(1000);
-        let _ = d.next_clock(ctx(0, 0, 100, None));
-        let before = d.checkpoint();
-        d.restore(&ClockCheckpoint::stateless());
-        assert_eq!(
-            d.checkpoint().state::<Duration>(),
-            before.state::<Duration>()
         );
     }
 

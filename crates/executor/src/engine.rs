@@ -44,8 +44,8 @@
 //! is decided by that node's own hints alone.
 //!
 //! The event log is an arena ([`EventArena`]) shared by `Arc`: run
-//! snapshots, checkpoints and observers all view the same flat storage,
-//! so snapshotting is O(1) and the engine copy-on-writes only when it
+//! snapshots and observers all view the same flat storage, so
+//! snapshotting is O(1) and the engine copy-on-writes only when it
 //! appends past a still-live snapshot.
 //!
 //! All of this is invisible in the recorded executions: the candidate
@@ -66,12 +66,12 @@ use psync_automata::{
 };
 use psync_time::{Duration, Time};
 
-use crate::clock_driver::{AdvanceCtx, ClockCheckpoint, ClockStrategy};
+use crate::clock_driver::{AdvanceCtx, ClockStrategy};
 use crate::error::EngineError;
 use crate::fasthash::FastBuildHasher;
 use crate::fenwick::SegLens;
 use crate::observer::{ClockRead, Observer};
-use crate::scheduler::{FifoScheduler, Scheduler, SchedulerCheckpoint};
+use crate::scheduler::{FifoScheduler, Scheduler};
 use crate::wakeheap::{WakeHeap, WakeSet};
 
 /// Default cap on recorded events, guarding against Zeno compositions.
@@ -182,72 +182,6 @@ pub enum StopReason {
     /// run: calling `run` (or `run_until_events` again) continues
     /// bit-identically.
     Paused,
-}
-
-/// A detached, deep snapshot of an engine's run state, captured by
-/// [`Engine::checkpoint`] and resumed by [`Engine::restore`] — the
-/// operational form of the paper's pasting lemma (Lemma 2.1): an
-/// admissible execution can be cut at any state and resumed from there.
-///
-/// The snapshot captures *pure run state* only: real time, every
-/// component's `DynState` (deep-cloned via `clone_box`), node clocks,
-/// clock-strategy state (drift offsets, RNG positions, scripted rejection
-/// counts), scheduler state, and the accumulated execution prefix (shared
-/// by `Arc`, so a checkpoint is O(components), not O(events)). Static
-/// configuration — the components themselves, routing tables, `ε` bounds,
-/// `max_events` — is *not* captured: it belongs to the engine a checkpoint
-/// is restored into. That makes checkpoints portable across engine
-/// instances built from structurally compatible configurations (same
-/// component layout), which is exactly what the explorer's prefix-sharing
-/// shrink probes need: a probe engine is built from a *different* fault
-/// plan and then restored from the base run's checkpoint taken before the
-/// plans diverge.
-///
-/// The engine's derived caches (enabled cache, dirty set, duplicate map,
-/// wake sets, cached deadlines) are deliberately omitted: restore marks
-/// everything dirty, and the next refresh rebuilds them from the restored
-/// states —
-/// the all-dirty rebuild produces bit-identical candidate lists, so the
-/// resumed run is indistinguishable from an uninterrupted one.
-pub struct EngineCheckpoint<A: Action> {
-    pub(crate) now: Time,
-    pub(crate) timed_states: Vec<DynState>,
-    pub(crate) node_clocks: Vec<Time>,
-    pub(crate) node_states: Vec<Vec<DynState>>,
-    pub(crate) clock_states: Vec<ClockCheckpoint>,
-    pub(crate) scheduler_state: SchedulerCheckpoint,
-    pub(crate) events: ArenaSnapshot<A>,
-    pub(crate) idle_advances: u32,
-    pub(crate) horizon: Option<Time>,
-}
-
-impl<A: Action> EngineCheckpoint<A> {
-    /// Real time at the moment of capture.
-    #[must_use]
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
-    /// The captured execution prefix (every event recorded before the
-    /// checkpoint, oldest first).
-    #[must_use]
-    pub fn events(&self) -> &[TimedEvent<A>] {
-        self.events.events()
-    }
-
-    /// The captured prefix as an O(1) arena view, for callers that want to
-    /// share the storage onward (shrink-probe ladders, recorded runs).
-    #[must_use]
-    pub fn events_snapshot(&self) -> &ArenaSnapshot<A> {
-        &self.events
-    }
-
-    /// Number of events in the captured prefix — the checkpoint's position
-    /// in the run.
-    #[must_use]
-    pub fn event_count(&self) -> usize {
-        self.events.len()
-    }
 }
 
 /// The result of a completed run: the recorded execution and why it ended.
@@ -725,8 +659,8 @@ impl<A: Action> Engine<A> {
 
     /// Runs until the execution holds at least `pause_at` events, then
     /// pauses ([`StopReason::Paused`]) with the engine state exactly as it
-    /// is between two events of the uninterrupted run — the natural grain
-    /// for [`Engine::checkpoint`]. If the run ends (horizon, quiescence)
+    /// is between two events of the uninterrupted run: the pasting lemma's
+    /// cut (Lemma 2.1), taken in place. If the run ends (horizon, quiescence)
     /// before reaching `pause_at` events, the natural stop reason is
     /// returned instead. A paused engine resumes with [`Engine::run`] or a
     /// further `run_until_events`, bit-identically to never having paused.
@@ -804,117 +738,6 @@ impl<A: Action> Engine<A> {
     /// is always a plumbing bug in the caller).
     pub fn inject(&mut self, action: A) -> Result<(), EngineError> {
         self.apply(action, None)
-    }
-
-    /// Captures a detached snapshot of the current run state. See
-    /// [`EngineCheckpoint`] for what is (and is not) captured. Observers
-    /// are notified via [`Observer::on_checkpoint`]; like every hook this
-    /// is read-only, so checkpointing never perturbs the run.
-    #[must_use = "a checkpoint is only useful if restored or inspected"]
-    pub fn checkpoint(&mut self) -> EngineCheckpoint<A> {
-        let cp = EngineCheckpoint {
-            now: self.now,
-            timed_states: self.timed.iter().map(|rt| rt.state.clone()).collect(),
-            node_clocks: self.nodes.iter().map(|n| n.clock).collect(),
-            node_states: self
-                .nodes
-                .iter()
-                .map(|n| n.comps.iter().map(|(_, s)| s.clone()).collect())
-                .collect(),
-            clock_states: self.nodes.iter().map(|n| n.strategy.checkpoint()).collect(),
-            scheduler_state: self.scheduler.checkpoint(),
-            events: ArenaSnapshot::full(Arc::clone(&self.events)),
-            idle_advances: self.idle_advances,
-            horizon: self.horizon,
-        };
-        let count = cp.events.len();
-        for obs in &mut self.observers {
-            obs.on_checkpoint(count);
-        }
-        cp
-    }
-
-    /// Restores the run state captured in `checkpoint`, discarding the
-    /// engine's current state. The engine must be structurally compatible
-    /// with the one that captured the snapshot: same number of timed
-    /// components, nodes and per-node components (their *configurations*
-    /// may differ — that is the point of detached checkpoints). Continuing
-    /// the run afterwards is bit-identical to continuing the captured
-    /// engine, provided the configurations agree on everything the
-    /// remaining events depend on.
-    ///
-    /// Derived caches are not restored; everything is marked dirty and the
-    /// next refresh rebuilds them from the restored states, producing
-    /// identical candidate lists. Observers are notified via
-    /// [`Observer::on_restore`] with the restored prefix, so stateful
-    /// observers can rebuild their own context.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the checkpoint's shape (component counts) does not match
-    /// this engine.
-    pub fn restore(&mut self, checkpoint: &EngineCheckpoint<A>) {
-        assert_eq!(
-            self.timed.len(),
-            checkpoint.timed_states.len(),
-            "checkpoint shape mismatch: timed component count"
-        );
-        assert_eq!(
-            self.nodes.len(),
-            checkpoint.node_clocks.len(),
-            "checkpoint shape mismatch: node count"
-        );
-        self.now = checkpoint.now;
-        for (rt, state) in self.timed.iter_mut().zip(&checkpoint.timed_states) {
-            rt.state = state.clone();
-        }
-        for (n, node) in self.nodes.iter_mut().enumerate() {
-            node.clock = checkpoint.node_clocks[n];
-            let states = &checkpoint.node_states[n];
-            assert_eq!(
-                node.comps.len(),
-                states.len(),
-                "checkpoint shape mismatch: components of node {n}"
-            );
-            for ((_, state), snap) in node.comps.iter_mut().zip(states) {
-                *state = snap.clone();
-            }
-            node.strategy.restore(&checkpoint.clock_states[n]);
-        }
-        self.scheduler.restore(&checkpoint.scheduler_state);
-        // Checkpoints taken by an engine always view their whole arena
-        // (appending past a live snapshot copy-on-writes), so this is an
-        // `Arc` clone; a proper prefix view materializes a truncated copy.
-        self.events = checkpoint.events.to_arena();
-        self.idle_advances = checkpoint.idle_advances;
-        self.horizon = checkpoint.horizon;
-        // Derived caches — including the wake/deadline heaps, which hold
-        // no state a checkpoint would need — are rebuilt from the restored
-        // states on the next refresh; the all-dirty rebuild yields
-        // identical candidate lists and re-notes every hint.
-        self.invalidate_caches();
-        for obs in &mut self.observers {
-            obs.on_restore(checkpoint.events.events());
-        }
-    }
-
-    /// Forks the run: builds a sibling engine from `builder` and restores
-    /// this engine's current state into it. The sibling continues
-    /// independently — its events, component states and RNG positions no
-    /// longer affect this engine (the shared execution prefix is
-    /// copy-on-write). The builder must describe a structurally compatible
-    /// system (see [`Engine::restore`]); components are not cloneable, so
-    /// the caller supplies the sibling's configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `builder` does not match this engine's shape.
-    #[must_use = "the fork is a new engine; dropping it discards the fork"]
-    pub fn fork(&mut self, builder: EngineBuilder<A>) -> Engine<A> {
-        let cp = self.checkpoint();
-        let mut sibling = builder.build();
-        sibling.restore(&cp);
-        sibling
     }
 
     fn run_inner(&mut self, pause_at: Option<usize>) -> Result<Run<A>, EngineError> {
@@ -1248,7 +1071,7 @@ impl<A: Action> Engine<A> {
 
     /// Forgets every derived cache. Called after a mid-advance error
     /// (states may be partially advanced, so nothing cached can be
-    /// trusted) and by [`Engine::restore`].
+    /// trusted).
     fn invalidate_caches(&mut self) {
         self.dirty.fill(true);
         self.dirty_ids.clear();
@@ -2030,7 +1853,7 @@ mod tests {
         assert_eq!(evs[1].clock, Some(at(10)));
     }
 
-    fn checkpoint_mix() -> EngineBuilder<BeepAction> {
+    fn pause_mix() -> EngineBuilder<BeepAction> {
         Engine::builder()
             .timed(Beeper::with_src(ms(5), 0))
             .timed(Beeper::with_src(ms(7), 1))
@@ -2044,8 +1867,8 @@ mod tests {
 
     #[test]
     fn pause_and_resume_is_bit_identical_to_straight_run() {
-        let straight = checkpoint_mix().build().run().unwrap();
-        let mut paused = checkpoint_mix().build();
+        let straight = pause_mix().build().run().unwrap();
+        let mut paused = pause_mix().build();
         let p1 = paused.run_until_events(10).unwrap();
         assert_eq!(p1.stop, StopReason::Paused);
         assert_eq!(p1.execution.len(), 10);
@@ -2058,41 +1881,8 @@ mod tests {
 
     #[test]
     fn pause_past_the_end_returns_the_natural_stop() {
-        let mut engine = checkpoint_mix().build();
+        let mut engine = pause_mix().build();
         let run = engine.run_until_events(usize::MAX).unwrap();
         assert_eq!(run.stop, StopReason::Horizon);
-    }
-
-    #[test]
-    fn restore_into_fresh_engine_resumes_bit_identically() {
-        let straight = checkpoint_mix().build().run().unwrap();
-        let mut base = checkpoint_mix().build();
-        let _ = base.run_until_events(12).unwrap();
-        let cp = base.checkpoint();
-        assert_eq!(cp.event_count(), 12);
-        // One checkpoint seeds two independent resumes; both must complete
-        // exactly like the uninterrupted run.
-        for _ in 0..2 {
-            let mut probe = checkpoint_mix().build();
-            probe.restore(&cp);
-            let resumed = probe.run().unwrap();
-            assert_eq!(resumed.stop, straight.stop);
-            assert_eq!(resumed.execution, straight.execution);
-        }
-        // The base engine is untouched by the probes.
-        let base_done = base.run().unwrap();
-        assert_eq!(base_done.execution, straight.execution);
-    }
-
-    #[test]
-    fn fork_continues_independently() {
-        let straight = checkpoint_mix().build().run().unwrap();
-        let mut base = checkpoint_mix().build();
-        let _ = base.run_until_events(8).unwrap();
-        let mut sibling = base.fork(checkpoint_mix());
-        let sibling_run = sibling.run().unwrap();
-        assert_eq!(sibling_run.execution, straight.execution);
-        let base_run = base.run().unwrap();
-        assert_eq!(base_run.execution, straight.execution);
     }
 }

@@ -58,7 +58,7 @@ pub use clock_driver::{
     RandomWalkClock, ScriptedClock,
 };
 pub use driver::Driver;
-pub use engine::{ClockNode, Engine, EngineBuilder, EngineCheckpoint, Run, StopReason};
+pub use engine::{ClockNode, Engine, EngineBuilder, Run, StopReason};
 pub use error::EngineError;
 pub use observer::{ClockRead, NoopObserver, Observer};
 pub use reference::{ReferenceEngine, ReferenceEngineBuilder};

@@ -3,8 +3,8 @@
 //! An [`Observer`] is attached at build time
 //! ([`EngineBuilder::observer`](crate::EngineBuilder::observer)) and is
 //! invoked by both [`Engine`](crate::Engine) and
-//! [`ReferenceEngine`](crate::ReferenceEngine) at the same six points. Four
-//! belong to the run loop and come in the same order on both engines:
+//! [`ReferenceEngine`](crate::ReferenceEngine) at the same four points, in
+//! the same order on both engines:
 //!
 //! 1. [`on_candidates`](Observer::on_candidates) — after the candidate set
 //!    is assembled and found non-empty, before the scheduler picks;
@@ -17,13 +17,9 @@
 //! 4. [`on_advance`](Observer::on_advance) — at the start of every `ν`
 //!    time-passage step.
 //!
-//! Two belong to the checkpoint machinery and fire outside the loop:
-//!
-//! 5. [`on_checkpoint`](Observer::on_checkpoint) — when the engine captures
-//!    a checkpoint, with the length of the prefix recorded so far;
-//! 6. [`on_restore`](Observer::on_restore) — when the engine is rewound to
-//!    a checkpoint, with the restored prefix, so a stateful observer can
-//!    rebuild what it would have accumulated by watching that prefix.
+//! Two more hooks, [`on_checkpoint`](Observer::on_checkpoint) and
+//! [`on_restore`](Observer::on_restore), are never called: they are empty
+//! shells that `benchmark/src/layers.rs` still forwards.
 //!
 //! Observers are strictly *read-only* taps: they cannot influence
 //! scheduling, component state or the recorded execution, so a run with
@@ -111,19 +107,14 @@ pub trait Observer<A: Action> {
         let _ = (from, to);
     }
 
-    /// The engine captured a checkpoint; `events` is the length of the
-    /// execution prefix recorded so far. Like the other hooks, this is a
-    /// read-only notification — checkpointing must not perturb the run.
+    /// Never called. Kept only because `benchmark/src/layers.rs` forwards
+    /// it; the `benchmark` change of ROADMAP items 3/4 deletes it.
     fn on_checkpoint(&mut self, events: usize) {
         let _ = events;
     }
 
-    /// The engine was restored from a checkpoint whose execution prefix is
-    /// `events` (every recorded event, oldest first). Stateful observers
-    /// that accumulate per-run context (e.g. in-flight message maps) use
-    /// the prefix to rebuild exactly the state they would have reached by
-    /// observing the prefix live; counters that were externally restored
-    /// should not be re-derived here.
+    /// Never called, kept for the same reason as
+    /// [`Observer::on_checkpoint`].
     fn on_restore(&mut self, events: &[TimedEvent<A>]) {
         let _ = events;
     }

@@ -21,15 +21,13 @@
 //! here weakens the oracle.
 
 use psync_automata::{
-    Action, ArenaSnapshot, ClockComponentBox, ClockPredicate, ComponentBox, DynState, EventArena,
-    Execution, TimedComponent, TimedEvent,
+    Action, ClockComponentBox, ClockPredicate, ComponentBox, DynState, Execution, TimedComponent,
+    TimedEvent,
 };
 use psync_time::{Duration, Time};
 
-use std::sync::Arc;
-
 use crate::clock_driver::{AdvanceCtx, ClockStrategy};
-use crate::engine::{ClockNode, EngineCheckpoint, Run, StopReason};
+use crate::engine::{ClockNode, Run, StopReason};
 use crate::error::EngineError;
 use crate::observer::{ClockRead, Observer};
 use crate::scheduler::{FifoScheduler, Scheduler};
@@ -252,86 +250,14 @@ impl<A: Action> ReferenceEngine<A> {
     /// Runs until the execution holds at least `pause_at` events, then
     /// pauses ([`StopReason::Paused`]); mirrors
     /// [`Engine::run_until_events`](crate::Engine::run_until_events) so the
-    /// differential tests can pause both engines at the same grain.
+    /// differential tests can pause both engines at the same grain (and the
+    /// `engine_scaling_heap` bench can give both the same event budget).
     ///
     /// # Errors
     ///
     /// As for [`ReferenceEngine::run`].
     pub fn run_until_events(&mut self, pause_at: usize) -> Result<Run<A>, EngineError> {
         self.run_inner(Some(pause_at))
-    }
-
-    /// Captures a detached snapshot of the current run state — the same
-    /// [`EngineCheckpoint`] type [`Engine`](crate::Engine) produces, so
-    /// snapshots are interchangeable between the two engines in the
-    /// differential tests.
-    #[must_use = "a checkpoint is only useful if restored or inspected"]
-    pub fn checkpoint(&mut self) -> EngineCheckpoint<A> {
-        let cp = EngineCheckpoint {
-            now: self.now,
-            timed_states: self.timed.iter().map(|rt| rt.state.clone()).collect(),
-            node_clocks: self.nodes.iter().map(|n| n.clock).collect(),
-            node_states: self
-                .nodes
-                .iter()
-                .map(|n| n.comps.iter().map(|(_, s)| s.clone()).collect())
-                .collect(),
-            clock_states: self.nodes.iter().map(|n| n.strategy.checkpoint()).collect(),
-            scheduler_state: self.scheduler.checkpoint(),
-            events: ArenaSnapshot::full(Arc::new(EventArena::from_events(self.events.clone()))),
-            idle_advances: self.idle_advances,
-            horizon: self.horizon,
-        };
-        let count = cp.events.len();
-        for obs in &mut self.observers {
-            obs.on_checkpoint(count);
-        }
-        cp
-    }
-
-    /// Restores the run state captured in `checkpoint`; mirrors
-    /// [`Engine::restore`](crate::Engine::restore), including the observer
-    /// notification.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the checkpoint's shape (component counts) does not match
-    /// this engine.
-    pub fn restore(&mut self, checkpoint: &EngineCheckpoint<A>) {
-        assert_eq!(
-            self.timed.len(),
-            checkpoint.timed_states.len(),
-            "checkpoint shape mismatch: timed component count"
-        );
-        assert_eq!(
-            self.nodes.len(),
-            checkpoint.node_clocks.len(),
-            "checkpoint shape mismatch: node count"
-        );
-        self.now = checkpoint.now;
-        for (rt, state) in self.timed.iter_mut().zip(&checkpoint.timed_states) {
-            rt.state = state.clone();
-        }
-        for (n, node) in self.nodes.iter_mut().enumerate() {
-            node.clock = checkpoint.node_clocks[n];
-            let states = &checkpoint.node_states[n];
-            assert_eq!(
-                node.comps.len(),
-                states.len(),
-                "checkpoint shape mismatch: components of node {n}"
-            );
-            for ((_, state), snap) in node.comps.iter_mut().zip(states) {
-                *state = snap.clone();
-            }
-            node.strategy.restore(&checkpoint.clock_states[n]);
-        }
-        self.scheduler.restore(&checkpoint.scheduler_state);
-        self.events = checkpoint.events.events().to_vec();
-        self.idle_advances = checkpoint.idle_advances;
-        self.horizon = checkpoint.horizon;
-        for obs in &mut self.observers {
-            obs.on_restore(checkpoint.events.events());
-        }
     }
 
     fn run_inner(&mut self, pause_at: Option<usize>) -> Result<Run<A>, EngineError> {

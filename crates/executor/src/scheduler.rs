@@ -1,49 +1,14 @@
 //! Schedulers: the adversary choosing among enabled actions.
 
-use core::any::Any;
-
 use psync_time::Time;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// An opaque snapshot of one [`Scheduler`]'s mutable state, captured by
-/// [`Scheduler::checkpoint`] and applied by [`Scheduler::restore`].
-///
-/// Like `ClockCheckpoint`, the snapshot is detached (a deep copy) and
-/// reusable: it can seed any number of restores, including into a
-/// different scheduler instance of the same concrete type.
-pub struct SchedulerCheckpoint(Option<Box<dyn Any>>);
-
-impl SchedulerCheckpoint {
-    /// A checkpoint for a scheduler with no mutable state
-    /// ([`FifoScheduler`], [`LifoScheduler`]).
-    #[must_use]
-    pub fn stateless() -> Self {
-        SchedulerCheckpoint(None)
-    }
-
-    /// Wraps a deep copy of a scheduler's state.
-    #[must_use]
-    pub fn of<T: Clone + 'static>(state: &T) -> Self {
-        SchedulerCheckpoint(Some(Box::new(state.clone())))
-    }
-
-    /// Downcasts the captured state, if any was captured and the type
-    /// matches.
-    #[must_use]
-    pub fn state<T: 'static>(&self) -> Option<&T> {
-        self.0.as_ref()?.downcast_ref()
-    }
-}
-
-impl core::fmt::Debug for SchedulerCheckpoint {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match &self.0 {
-            Some(_) => f.write_str("SchedulerCheckpoint(stateful)"),
-            None => f.write_str("SchedulerCheckpoint(stateless)"),
-        }
-    }
-}
+/// What [`Scheduler::checkpoint`] returns: nothing. It exists only
+/// because `benchmark/src/layers.rs` forwards the two checkpoint methods;
+/// the `benchmark` change of ROADMAP items 3/4 deletes it with them.
+#[derive(Debug)]
+pub struct SchedulerCheckpoint;
 
 /// Chooses which of the currently enabled locally controlled actions fires
 /// next.
@@ -76,17 +41,16 @@ pub trait Scheduler<A> {
         self.pick(now, candidates)
     }
 
-    /// Captures the scheduler's mutable state (RNG position, rotation
-    /// cursor, pick count). The default is stateless; stateful schedulers
-    /// must capture everything their future picks depend on, or the
-    /// engine's checkpoint/restore round trip diverges.
+    /// A no-op nothing calls. Kept only because `benchmark/src/layers.rs`
+    /// forwards it; the `benchmark` change of ROADMAP items 3/4 deletes
+    /// it. A run is cut and continued in place instead (see
+    /// `Engine::run_until_events`).
     fn checkpoint(&self) -> SchedulerCheckpoint {
-        SchedulerCheckpoint::stateless()
+        SchedulerCheckpoint
     }
 
-    /// Restores state captured by [`Scheduler::checkpoint`]. May be called
-    /// repeatedly with the same checkpoint, and on a different instance of
-    /// the same concrete type than the one captured.
+    /// A no-op nothing calls, kept for the same reason as
+    /// [`Scheduler::checkpoint`].
     fn restore(&mut self, checkpoint: &SchedulerCheckpoint) {
         let _ = checkpoint;
     }
@@ -135,16 +99,6 @@ impl<A> Scheduler<A> for RandomScheduler {
     fn pick(&mut self, _now: Time, candidates: &[A]) -> usize {
         self.rng.gen_range(0..candidates.len())
     }
-
-    fn checkpoint(&self) -> SchedulerCheckpoint {
-        SchedulerCheckpoint::of(&self.rng)
-    }
-
-    fn restore(&mut self, checkpoint: &SchedulerCheckpoint) {
-        if let Some(rng) = checkpoint.state::<StdRng>() {
-            self.rng = rng.clone();
-        }
-    }
 }
 
 /// Rotates fairly over candidate *origins* (components): each pick goes to
@@ -183,16 +137,6 @@ impl<A> Scheduler<A> for RoundRobinScheduler {
         let idx = origins.iter().position(|&o| o >= self.cursor).unwrap_or(0);
         self.cursor = origins[idx] + 1;
         idx
-    }
-
-    fn checkpoint(&self) -> SchedulerCheckpoint {
-        SchedulerCheckpoint::of(&self.cursor)
-    }
-
-    fn restore(&mut self, checkpoint: &SchedulerCheckpoint) {
-        if let Some(cursor) = checkpoint.state::<usize>() {
-            self.cursor = *cursor;
-        }
     }
 }
 
@@ -254,50 +198,6 @@ mod tests {
             s.pick_with_origins(Time::ZERO, &labels(4), &[0, 1, 2, 3]),
             3
         );
-    }
-
-    #[test]
-    fn random_checkpoint_round_trips_into_fresh_instance() {
-        let c = labels(5);
-        let mut original = RandomScheduler::new(42);
-        for _ in 0..13 {
-            let _ = original.pick(Time::ZERO, &c);
-        }
-        let cp = Scheduler::<String>::checkpoint(&original);
-        let expected: Vec<usize> = (0..20).map(|_| original.pick(Time::ZERO, &c)).collect();
-        // Restoring twice from the same checkpoint reproduces the same
-        // continuation both times.
-        for _ in 0..2 {
-            let mut fresh = RandomScheduler::new(42);
-            Scheduler::<String>::restore(&mut fresh, &cp);
-            let resumed: Vec<usize> = (0..20).map(|_| fresh.pick(Time::ZERO, &c)).collect();
-            assert_eq!(resumed, expected);
-        }
-    }
-
-    #[test]
-    fn round_robin_checkpoint_round_trips_cursor() {
-        let c = labels(3);
-        let origins = [0usize, 2, 5];
-        let mut original = RoundRobinScheduler::new();
-        let _ = original.pick_with_origins(Time::ZERO, &c, &origins);
-        let _ = original.pick_with_origins(Time::ZERO, &c, &origins);
-        let cp = Scheduler::<String>::checkpoint(&original);
-        let mut fresh = RoundRobinScheduler::new();
-        Scheduler::<String>::restore(&mut fresh, &cp);
-        assert_eq!(
-            fresh.pick_with_origins(Time::ZERO, &c, &origins),
-            original.pick_with_origins(Time::ZERO, &c, &origins)
-        );
-    }
-
-    #[test]
-    fn stateless_schedulers_accept_any_checkpoint() {
-        let mut s = FifoScheduler;
-        let cp = Scheduler::<String>::checkpoint(&s);
-        assert!(cp.state::<u64>().is_none());
-        Scheduler::<String>::restore(&mut s, &SchedulerCheckpoint::of(&7u64));
-        assert_eq!(s.pick(Time::ZERO, &labels(3)), 0);
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! * heartbeaters over FIFO and lossy channels — the routing table with
 //!   shared `SENDMSG`/`RECVMSG` names and same-instant event bursts;
 //! * heartbeaters over plain reordering channels — wildcard-free routing
-//!   with randomized delays.
+//!   with randomized delays;
+//! * one clock node per shipped strategy — both engines paused after every
+//!   event and resumed, which must not change the run.
 //!
 //! Every mix runs under a seeded [`RandomScheduler`] for several seeds:
 //! the scheduler is consulted with the same candidate slice in the same
@@ -27,8 +29,9 @@ use psync_apps::heartbeat::{FdAction, FdParams, Heartbeater, Monitor};
 use psync_automata::toys::{Beeper, ClockBeeper};
 use psync_automata::{Action, TimedEvent};
 use psync_executor::{
-    ClockNode, ClockRead, Engine, EngineBuilder, Observer, OffsetClock, PerfectClock,
-    RandomScheduler, ReferenceEngine, ReferenceEngineBuilder, RoundRobinScheduler, Scheduler,
+    ClockNode, ClockRead, DriftClock, Engine, EngineBuilder, Observer, OffsetClock, PerfectClock,
+    RandomScheduler, RandomWalkClock, ReferenceEngine, ReferenceEngineBuilder, RoundRobinScheduler,
+    Scheduler, ScriptedClock, StopReason,
 };
 use psync_net::{Channel, DropSeeded, FifoChannel, LossyChannel, NodeId, SeededDelay};
 use psync_time::{DelayBounds, Duration, Time};
@@ -499,4 +502,79 @@ fn incremental_run_until_matches_single_run() {
         );
     }
     assert!(s1.execution.len() < s4.execution.len());
+}
+
+/// One node per shipped clock strategy, each driving a `ClockBeeper`
+/// whose beep times expose the node clock, plus a real-time `Beeper` so
+/// timed and clock deadlines interleave. The scripted node attempts a
+/// backward jump at 60 ms that the C1–C4 guard must clamp. A macro
+/// because the two engines' builders are distinct types with identical
+/// vocabularies.
+macro_rules! strategy_fleet {
+    ($b:expr, $seed:expr) => {
+        $b.timed(Beeper::with_src(ms(5), 0))
+            .clock_node(
+                ClockNode::new("perfect", ms(2), PerfectClock)
+                    .with(ClockBeeper::with_src(ms(9), 10)),
+            )
+            .clock_node(
+                ClockNode::new("offset", ms(2), OffsetClock::new(ms(2), ms(2)))
+                    .with(ClockBeeper::with_src(ms(11), 11)),
+            )
+            .clock_node(
+                ClockNode::new("drift", ms(2), DriftClock::new(400))
+                    .with(ClockBeeper::with_src(ms(7), 12)),
+            )
+            .clock_node(
+                ClockNode::new("walk", ms(2), RandomWalkClock::new($seed ^ 0xA5, ms(1)))
+                    .with(ClockBeeper::with_src(ms(13), 13)),
+            )
+            .clock_node(
+                ClockNode::new(
+                    "scripted",
+                    ms(2),
+                    ScriptedClock::new([(at(30), ms(2)), (at(60), ms(-2))]),
+                )
+                .with(ClockBeeper::with_src(ms(10), 14)),
+            )
+            .scheduler(RandomScheduler::new($seed))
+            .horizon(at(150))
+    };
+}
+
+/// Lemma 2.1's cut, taken in place: either engine, paused after every
+/// event of the strategy fleet and resumed, finishes exactly like the
+/// straight run, and the two engines' straight runs agree. A pause falls
+/// between two events, never inside a `ν` advance, so no strategy, RNG
+/// or scheduler stream is consulted differently.
+#[test]
+fn pausing_after_every_event_resumes_identically() {
+    for seed in SEEDS {
+        let straight = strategy_fleet!(Engine::builder(), seed)
+            .build()
+            .run()
+            .unwrap();
+        let n = straight.execution.len();
+        assert!(n > 50, "seed {seed}: the fleet produced only {n} events");
+        let reference = strategy_fleet!(ReferenceEngine::builder(), seed)
+            .build()
+            .run()
+            .unwrap();
+        assert_eq!(reference.execution, straight.execution, "seed {seed}");
+
+        let mut fast = strategy_fleet!(Engine::builder(), seed).build();
+        let mut slow = strategy_fleet!(ReferenceEngine::builder(), seed).build();
+        for k in 0..=n {
+            for paused in [fast.run_until_events(k), slow.run_until_events(k)] {
+                let paused = paused.unwrap();
+                assert_eq!(paused.stop, StopReason::Paused, "seed {seed}, index {k}");
+                assert_eq!(paused.execution.len(), k, "seed {seed}: pause overshoots");
+            }
+        }
+        for (who, run) in [("engine", fast.run()), ("reference", slow.run())] {
+            let run = run.unwrap();
+            assert_eq!(run.stop, straight.stop, "seed {seed}: {who} stop");
+            assert_eq!(run.execution, straight.execution, "seed {seed}: {who}");
+        }
+    }
 }

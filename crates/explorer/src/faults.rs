@@ -5,7 +5,7 @@
 
 use std::collections::BTreeSet;
 
-use psync_executor::{RandomScheduler, Scheduler, SchedulerCheckpoint, ScriptedClock};
+use psync_executor::{RandomScheduler, Scheduler, ScriptedClock};
 use psync_net::{ChannelFault, DelayPolicy, MsgId, NodeId};
 use psync_time::{DelayBounds, Duration, Time};
 
@@ -271,19 +271,6 @@ impl<A> Scheduler<A> for BiasedScheduler {
         };
         self.count += 1;
         idx
-    }
-
-    fn checkpoint(&self) -> SchedulerCheckpoint {
-        // The flip set is rebuilt from the plan on construction; only the
-        // RNG position and the pick counter are run state.
-        SchedulerCheckpoint::of(&(self.inner.clone(), self.count))
-    }
-
-    fn restore(&mut self, checkpoint: &SchedulerCheckpoint) {
-        if let Some((inner, count)) = checkpoint.state::<(RandomScheduler, u64)>() {
-            self.inner = inner.clone();
-            self.count = *count;
-        }
     }
 }
 

@@ -435,7 +435,7 @@ mod tests {
 
     /// Each kind through `run_case`'s family (asserted): where the online
     /// judge is declined — the nine kinds without stream oracles, and the
-    /// restart kind, whose checkpoint seam needs the post-hoc path — the
+    /// restart kind, whose pause seam the online driver does not take — the
     /// flag changes nothing at all. Where it is granted, a clean case runs
     /// the identical execution to its natural stop; only the judge
     /// bookkeeping differs (the replays are post-hoc only).

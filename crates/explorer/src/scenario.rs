@@ -6,7 +6,7 @@
 //! how the system is built, which properties it streams, which oracles
 //! judge it whole — and [`run_scenario`] is the only code that builds,
 //! drives, judges and accounts a case, for every family alike: straight,
-//! across a checkpoint seam, or under an online judge. Adding a family is
+//! paused at a seam and resumed, or under an online judge. Adding a family is
 //! that impl, its `CATALOG` rows and its arm in [`run_case`]; nothing in
 //! the shrinker, the artifact reader or the campaign binary changes.
 //!
@@ -75,10 +75,10 @@ pub enum ScenarioKind {
     Heartbeat,
     /// Heartbeat with a scripted crash of the monitored node.
     HeartbeatCrash,
-    /// Heartbeat with a crash *and* a checkpoint/restore seam: the run is
-    /// paused mid-flight, snapshotted, restored into a fresh engine, and
-    /// driven to the horizon — the oracles must hold across the seam
-    /// (Lemma 2.1 as a crash-recovery test).
+    /// Heartbeat with a crash *and* a mid-run seam: the engine is paused
+    /// mid-flight and resumed to the horizon — by Lemma 2.1 (pasting) the
+    /// same execution as [`ScenarioKind::HeartbeatCrash`]. It restores
+    /// nothing into a fresh engine and models no crash recovery.
     HeartbeatRestart,
     /// Heartbeat over a gray channel: periodically, sends are pinned to
     /// the worst admissible delay `d₂`.
@@ -216,8 +216,9 @@ pub struct ScenarioConfig {
     pub drift_ppm: i64,
     /// Scripted crash time (heartbeat family only), nanoseconds.
     pub crash_at_ns: Option<i64>,
-    /// Checkpoint/restore seam time ([`ScenarioKind::HeartbeatRestart`]
-    /// only), nanoseconds.
+    /// Time at which the run is paused and resumed in the same engine
+    /// ([`ScenarioKind::HeartbeatRestart`] only), nanoseconds. Must be
+    /// before the horizon.
     pub restart_at_ns: Option<i64>,
     /// The planted-bug canary mutating this scenario, if any.
     pub canary: Option<CanaryKind>,
@@ -467,6 +468,11 @@ impl ScenarioConfig {
         }
         need(self.d1_ns <= self.d2_ns, "d1_ns <= d2_ns")?;
         need(self.horizon_ns > 0, "horizon_ns > 0")?;
+        // A seam at or past the horizon would resume the engine backwards.
+        need(
+            self.restart_at_ns.is_none_or(|seam| seam < self.horizon_ns),
+            "restart_at_ns < horizon_ns",
+        )?;
         // Per family: the node count its topology indexes, and whether a
         // beater, beeper, slot or round runs off `period_ns` (`D_C`'s
         // closed loop paces itself).
@@ -739,9 +745,7 @@ pub trait Scenario {
 }
 
 /// A case's engine plus the observation handles the post-run accounting
-/// needs. The engine observer is attached with checkpoint counters
-/// suppressed, so a run across the restart seam has metrics bit-identical
-/// to a straight run's.
+/// needs.
 pub(crate) struct BuiltCase<A: Action> {
     pub(crate) engine: Engine<A>,
     pub(crate) hub: MetricsHub,
@@ -760,9 +764,7 @@ pub(crate) fn assemble<S: Scenario>(
     judge: Option<&OnlineJudge<S::Action>>,
 ) -> BuiltCase<S::Action> {
     let parts = S::parts(cfg, plan, seed);
-    let mut builder = parts
-        .builder
-        .observer(parts.hub.engine_observer().without_checkpoint_counters());
+    let mut builder = parts.builder.observer(parts.hub.engine_observer());
     if let Some(judge) = judge {
         builder = builder.observer(judge.observer());
     }
@@ -783,13 +785,13 @@ pub(crate) fn assemble<S: Scenario>(
 /// kind takes: build, drive, judge, account.
 ///
 /// *Drive.* Straight to the horizon; or, where the config carries a
-/// `restart_at_ns` seam, to the seam, through [`Engine::checkpoint`] into
-/// a freshly built engine, and on to the horizon — by Lemma 2.1 (pasting)
-/// the recorded execution, and therefore every verdict, is bit-identical
-/// to an uninterrupted run, and so are the metrics when the seam is an
-/// instant the run stops at anyway (the catalog's is a heartbeat tick);
-/// or, where `online` is set, the family has stream oracles and there is
-/// no seam, in `ONLINE_CHUNK`-event steps under an [`OnlineJudge`],
+/// `restart_at_ns` seam, paused at the seam and resumed to the horizon in
+/// the same engine — by Lemma 2.1 (pasting) the recorded execution, and
+/// therefore every verdict, is bit-identical to an uninterrupted run, and
+/// so are the metrics when the seam is an instant the run stops at anyway
+/// (the catalog's is a heartbeat tick); or, where `online` is set, the
+/// family has stream oracles and there is no seam, in
+/// `ONLINE_CHUNK`-event steps under an [`OnlineJudge`],
 /// stopping the moment a violation is certain. Every other `online` case
 /// is judged post-hoc: this is where the fallback lives.
 ///
@@ -829,25 +831,10 @@ pub fn run_scenario<S: Scenario>(
     } else if let Some(seam) = cfg.restart_at_ns {
         match case.engine.run_until(at_ns(seam)) {
             Ok(reached) if reached.stop == StopReason::Horizon => {
-                // The "restarted process": a fresh engine built from the
-                // same artifact inputs, with the snapshot — and the
-                // counters that live outside the engine — poured back in.
-                // restore() also restores the captured horizon (the
-                // seam), so the final horizon is re-armed explicitly.
-                let mut before = case;
-                case = assemble::<S>(cfg, plan, seed, None);
-                case.engine.restore(&before.engine.checkpoint());
-                case.hub.restore(&before.hub.snapshot());
-                for (stats, old) in case.fault_stats.iter().zip(&before.fault_stats) {
-                    stats.set_values(old.values());
-                }
-                for (count, old) in case.rejections.iter().zip(&before.rejections) {
-                    count.set(old.get());
-                }
                 case.engine.run_until(at_ns(cfg.horizon_ns))
             }
             // Stopped before the seam (quiescent or capped): nothing to
-            // restart; judge what was recorded.
+            // resume; judge what was recorded.
             stopped_early => stopped_early,
         }
     } else {
@@ -1233,8 +1220,7 @@ fn hb_components(cfg: &ScenarioConfig, shape: &HbShape) -> HbComponents {
 /// The heartbeat family — the timed model: heartbeaters, plan-driven
 /// [`FaultChannel`]s, monitors, and (optionally) scripted crashes, in the
 /// topology `hb_shape` gives the kind. Variants add a crash
-/// ([`ScenarioKind::HeartbeatCrash`]), a crash-recovery seam replayed
-/// through `Engine::checkpoint`/`restore`
+/// ([`ScenarioKind::HeartbeatCrash`]), a mid-run pause-and-resume seam
 /// ([`ScenarioKind::HeartbeatRestart`], Lemma 2.1 as an executable test),
 /// an intermittently slow gray channel ([`ScenarioKind::HeartbeatGray`]),
 /// a symmetric two-way pair ([`ScenarioKind::HeartbeatBidi`]), a
@@ -1941,7 +1927,7 @@ mod tests {
         assert!(out.violations.is_empty(), "{:?}", out.violations);
     }
 
-    /// Lemma 2.1 at the checkpoint seam: the restart scenario's execution
+    /// Lemma 2.1 at the pause seam: the restart scenario's execution
     /// and outcome — violations, event count, metrics — are bit-identical
     /// to an uninterrupted run of the same system.
     #[test]

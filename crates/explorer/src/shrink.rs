@@ -31,10 +31,12 @@ pub struct CampaignTelemetry {
     /// executions, not shrink work, and are counted in the campaign
     /// stats instead.)
     pub shrink_events: u64,
-    /// Primary case runs that recorded a checkpoint ladder. Always 0:
-    /// probes re-run from scratch, so nothing is recorded.
+    /// Primary case runs recorded for shrinking. Always 0: probes re-run
+    /// from scratch. Kept because `benchmark/` prints it as an `exact`
+    /// line.
     pub recording_runs: u64,
-    /// Engine checkpoints captured for shrinking. Always 0, as above.
+    /// Engine checkpoints captured for shrinking. Always 0 (the engine
+    /// has none), and kept for the same reason as `recording_runs`.
     pub checkpoints: u64,
     /// Probes answered from the outcome cache with no execution at all.
     pub cache_hits: u64,

@@ -127,7 +127,7 @@ fn clean_campaigns_find_no_violations() {
 /// `shrink_probes` counts true case executions: the cached driver never
 /// re-probes a plan it has already evaluated (ddmin revisits its seeded
 /// plan and adopted bases; those answers are tallied as cache hits), and
-/// no checkpoint is ever taken for shrinking. A clean campaign of any
+/// the recording-run and checkpoint tallies stay 0. A clean campaign of any
 /// kind never shrinks, so it spends nothing at all.
 #[test]
 fn shrink_probe_counts_are_true_executions() {
@@ -410,6 +410,9 @@ fn malformed_artifact_configs_are_refused() {
     let mut never_beats = ScenarioConfig::heartbeat_default();
     never_beats.period_ns = 0;
     assert!(refused(never_beats).contains("period_ns > 0"));
+    let mut seam_past_horizon = ScenarioConfig::default_for(ScenarioKind::Heartbeat);
+    seam_past_horizon.restart_at_ns = Some(seam_past_horizon.horizon_ns + 1_000_000);
+    assert!(refused(seam_past_horizon).contains("restart_at_ns < horizon_ns"));
 
     // Every catalog config, and every canary's, is in range.
     for kind in ScenarioKind::all() {
@@ -425,11 +428,11 @@ fn malformed_artifact_configs_are_refused() {
     }
 }
 
-/// The seam is the runner's, not the heartbeat family's: cut any
-/// kind's case anywhere and the pasted execution is the straight one.
-/// (The metrics also count the extra stop at the seam, so they match
-/// only where the run visits that instant anyway, as the catalog's
-/// heartbeat-tick seam does.)
+/// The seam is the runner's, not the heartbeat family's: pause any
+/// kind's case anywhere, resume the same engine, and the pasted execution
+/// is the straight one (Lemma 2.1). (The metrics also count the extra
+/// stop at the seam, so they match only where the run visits that instant
+/// anyway, as the catalog's heartbeat-tick seam does.)
 #[test]
 fn a_seam_in_any_family_pastes_to_the_same_execution() {
     for kind in ScenarioKind::all() {

@@ -10,8 +10,8 @@
 //!   campaigns only (broad coverage of the merge path);
 //! - the planted-bug heartbeat scenario, so the comparison also covers
 //!   failing cases end to end: shrinking, probe accounting, artifacts;
-//! - a crash/recovery scenario with a planted bug, crossed with both
-//!   shrink-probe modes (checkpointed and from-scratch);
+//! - the paused-and-resumed restart scenario, clean and with a planted
+//!   bug;
 //! - a property test over random `CampaignConfig`s (cases, seed,
 //!   max_entries) and scenarios.
 //!
@@ -72,8 +72,8 @@ fn failing_campaign_reports_identical_across_job_counts() {
     assert_jobs_invariant(&campaign, &config);
 }
 
-/// The crash/recovery seam is the trickiest place for worker-count
-/// divergence: the restart scenario checkpoints mid-case and resumes
+/// The pause seam is the trickiest place for worker-count divergence:
+/// the restart scenario pauses mid-case and resumes the same engine
 /// across the seam. Pin the whole report as bit-identical over
 /// `jobs ∈ {1, 2, 4}`, for a clean crash campaign and a failing
 /// (planted-bug) one.

@@ -437,7 +437,7 @@ fn drive_node(mut ctx: NodeCtx) -> NodeOutcome {
     let hub = MetricsHub::new();
     let mut engine = Engine::builder()
         .clock_node(node)
-        .observer(hub.engine_observer().without_checkpoint_counters())
+        .observer(hub.engine_observer())
         .max_events(ctx.cfg.max_events)
         .build();
 

@@ -75,32 +75,6 @@ impl FaultStats {
     pub fn spiked(&self) -> u64 {
         self.spiked.get()
     }
-
-    /// All five counters as `[sends, delivered, dropped, duplicated,
-    /// spiked]` — a checkpointable value for
-    /// [`FaultStats::set_values`].
-    #[must_use]
-    pub fn values(&self) -> [u64; 5] {
-        [
-            self.sends.get(),
-            self.delivered.get(),
-            self.dropped.get(),
-            self.duplicated.get(),
-            self.spiked.get(),
-        ]
-    }
-
-    /// Overwrites all five counters with values captured by
-    /// [`FaultStats::values`] — rewinds the stats alongside an engine
-    /// checkpoint restore, through this handle's own cells (every clone of
-    /// the handle sees the rewound counts).
-    pub fn set_values(&self, values: [u64; 5]) {
-        self.sends.set(values[0]);
-        self.delivered.set(values[1]);
-        self.dropped.set(values[2]);
-        self.duplicated.set(values[3]);
-        self.spiked.set(values[4]);
-    }
 }
 
 /// Decides how a [`FaultChannel`] delivers each message. Pure per-message

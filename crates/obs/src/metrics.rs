@@ -118,7 +118,7 @@ impl Histogram {
 
 /// A resolved handle on one counter of the [`Registry`] that issued it
 /// ([`Registry::counter_id`]). Valid for that registry (and its clones)
-/// for as long as it lives, across [`Registry::restore`] included.
+/// for as long as it lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterId(usize);
 
@@ -143,8 +143,7 @@ pub struct HistogramId(usize);
 /// changes what a registry reports, and two registries fed the same
 /// updates in *any* order — with handles resolved in any order — produce
 /// equal [`MetricsSnapshot`]s, the property the explorer's replay tests
-/// pin. Slots are never removed, so a handle outlives
-/// [`restore`](Registry::restore).
+/// pin. Slots are never removed, so a handle never dangles.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     counters: Vec<Option<u64>>,
@@ -319,19 +318,6 @@ impl Registry {
                 empty => *empty = Some(h.clone()),
             }
         }
-    }
-
-    /// Discards everything recorded and replaces it with the contents of
-    /// `snapshot` — the inverse of [`Registry::snapshot`], so
-    /// `restore(snap)` followed by `self.snapshot()` yields `snap` exactly.
-    /// Used to rewind metrics alongside an engine checkpoint restore.
-    /// Slots are emptied, not removed: handles resolved before the restore
-    /// keep recording into the same names after it.
-    pub fn restore(&mut self, snapshot: &MetricsSnapshot) {
-        self.counters.fill(None);
-        self.histograms.fill(None);
-        self.gauges.clear();
-        self.absorb(snapshot);
     }
 }
 
@@ -615,9 +601,10 @@ mod tests {
         assert_eq!(merged.gauge("sync.eps_hat_ns.n0"), Some(1_900_000));
         assert_eq!(merged.gauge("sync.eps_hat_ns.n1"), Some(-5));
 
-        // Restore round-trips gauges like everything else.
+        // Absorbing into an empty registry round-trips gauges like
+        // everything else.
         let mut back = Registry::new();
-        back.restore(&merged);
+        back.absorb(&merged);
         assert_eq!(back.snapshot(), merged);
 
         let json = merged.to_json();

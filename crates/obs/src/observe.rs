@@ -72,7 +72,6 @@ impl MetricsHub {
             registry: Rc::clone(&self.registry),
             ids,
             actions: Vec::new(),
-            count_checkpoint_ops: true,
         }
     }
 
@@ -118,15 +117,6 @@ impl MetricsHub {
         self.registry.borrow_mut().absorb(snapshot);
     }
 
-    /// Rewinds the hub to a previously taken [`snapshot`](MetricsHub::snapshot),
-    /// discarding everything recorded since. Pairs with
-    /// [`Engine::restore`](psync_executor::Engine::restore): snapshot the
-    /// hub when the engine checkpoints, restore both together, and the
-    /// resumed run's metrics are bit-identical to an uninterrupted run's.
-    pub fn restore(&self, snapshot: &MetricsSnapshot) {
-        self.registry.borrow_mut().restore(snapshot);
-    }
-
     /// The shared registry handle, for observers not predefined here.
     #[must_use]
     pub fn registry(&self) -> Rc<RefCell<Registry>> {
@@ -148,8 +138,6 @@ struct EngineMetricIds {
     deliveries: CounterId,
     advances: CounterId,
     advance_ns: HistogramId,
-    checkpoints: CounterId,
-    restores: CounterId,
 }
 
 impl EngineMetricIds {
@@ -166,8 +154,6 @@ impl EngineMetricIds {
             deliveries: reg.counter_id("engine.deliveries"),
             advances: reg.counter_id("engine.advances"),
             advance_ns: reg.histogram_id("engine.advance_ns"),
-            checkpoints: reg.counter_id("engine.checkpoints"),
-            restores: reg.counter_id("engine.restores"),
         }
     }
 }
@@ -191,23 +177,9 @@ pub struct EngineMetrics {
     ids: EngineMetricIds,
     /// A handful of names per system, so a linear scan beats hashing.
     actions: Vec<SeenAction>,
-    count_checkpoint_ops: bool,
 }
 
 impl EngineMetrics {
-    /// Suppresses the `engine.checkpoints` / `engine.restores` counters.
-    ///
-    /// Checkpoint and restore are run *machinery*, not run *behaviour*: a
-    /// consumer comparing a checkpointed-resume run against a straight-line
-    /// run (the explorer's prefix-sharing shrink probes) wants the two
-    /// metric snapshots bit-identical, which only holds if the machinery
-    /// leaves no trace. All behavioural metrics are still recorded.
-    #[must_use]
-    pub fn without_checkpoint_counters(mut self) -> EngineMetrics {
-        self.count_checkpoint_ops = false;
-        self
-    }
-
     /// The cached entry for action `name`, resolved on first sight.
     ///
     /// Names are matched by text, never by address: equal text can live at
@@ -271,18 +243,6 @@ impl<A: Action> Observer<A> for EngineMetrics {
             (to - from).as_nanos(),
         );
     }
-
-    fn on_checkpoint(&mut self, _events: usize) {
-        if self.count_checkpoint_ops {
-            self.registry.borrow_mut().add_to(self.ids.checkpoints, 1);
-        }
-    }
-
-    fn on_restore(&mut self, _events: &[TimedEvent<A>]) {
-        if self.count_checkpoint_ops {
-            self.registry.borrow_mut().add_to(self.ids.restores, 1);
-        }
-    }
 }
 
 /// Records the real-time delay of every delivered message into a
@@ -321,19 +281,6 @@ where
                 }
             }
             _ => {}
-        }
-    }
-
-    fn on_restore(&mut self, events: &[TimedEvent<SysAction<M, AP>>]) {
-        // The send-time map is per-run context: rebuild it from the
-        // restored prefix so post-restore deliveries of pre-restore sends
-        // still find their send times. Entries are never evicted during a
-        // live run, so scanning the sends reproduces the map exactly.
-        self.in_flight.clear();
-        for event in events {
-            if let SysAction::Send(env) | SysAction::ESend(env, _) = &event.action {
-                self.in_flight.insert(env.id, event.now);
-            }
         }
     }
 }
@@ -497,37 +444,6 @@ mod tests {
         assert!(snap.counter("engine.clock_reads") > 0);
         let drift = snap.histogram("engine.clock_drift_ns").unwrap();
         assert_eq!(drift.max(), ms(2).as_nanos());
-    }
-
-    #[test]
-    fn hub_restore_rewinds_to_a_snapshot() {
-        let hub = MetricsHub::new();
-        hub.add("x", 3);
-        let snap = hub.snapshot();
-        hub.add("x", 5);
-        hub.add("y", 1);
-        hub.restore(&snap);
-        assert_eq!(hub.snapshot(), snap);
-        assert_eq!(hub.snapshot().counter("x"), 3);
-        assert_eq!(hub.snapshot().counter("y"), 0);
-    }
-
-    #[test]
-    fn checkpoint_counters_are_recorded_and_suppressible() {
-        use psync_automata::toys::BeepAction;
-
-        let hub = MetricsHub::new();
-        let mut counting = hub.engine_observer();
-        Observer::<BeepAction>::on_checkpoint(&mut counting, 4);
-        Observer::<BeepAction>::on_restore(&mut counting, &[]);
-        assert_eq!(hub.snapshot().counter("engine.checkpoints"), 1);
-        assert_eq!(hub.snapshot().counter("engine.restores"), 1);
-
-        let quiet_hub = MetricsHub::new();
-        let mut quiet = quiet_hub.engine_observer().without_checkpoint_counters();
-        Observer::<BeepAction>::on_checkpoint(&mut quiet, 4);
-        Observer::<BeepAction>::on_restore(&mut quiet, &[]);
-        assert_eq!(quiet_hub.snapshot(), MetricsSnapshot::default());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! `BTreeMap` model: the slot-resolved handle calls (`counter_id` /
 //! `add_to`, `histogram_id` / `observe_in`) and the name-keyed calls are
 //! one storage, a resolved-but-untouched slot is invisible, handles
-//! outlive `restore`, and slot layout never shows.
+//! outlive `absorb`, and slot layout never shows.
 //!
 //! Note: the vendored proptest stub replays deterministically from the
 //! test name and performs no shrinking, so it persists no
@@ -31,8 +31,8 @@ use psync_obs::{CounterId, Histogram, HistogramId, MetricsSnapshot, Registry};
 /// One random registry mutation: `(family, name index, value)`. Name
 /// indices are drawn from a small pool so generated snapshots overlap on
 /// some names and diverge on others — the interesting merge cases.
-/// Families `0..3` are the name-keyed calls ([`apply`]); `3..10` are the
-/// handle calls and `snapshot` / `restore` / `absorb` ([`Harness::apply`]).
+/// Families `0..3` are the name-keyed calls ([`apply`]); `3..9` are the
+/// handle calls and `snapshot` / `absorb` ([`Harness::apply`]).
 type Op = (usize, usize, i64);
 
 const COUNTERS: usize = 4;
@@ -106,11 +106,6 @@ impl Model {
             }
         }
     }
-
-    fn restore(&mut self, snapshot: &MetricsSnapshot) {
-        *self = Model::default();
-        self.absorb(snapshot);
-    }
 }
 
 /// Handles on every pool name, in slot-per-name tables.
@@ -126,12 +121,12 @@ struct Harness {
     reg: Registry,
     /// Filled by `counter_id` / `histogram_id` ops (and by the first
     /// `add_to` / `observe_in` of a name); never cleared, so a handle
-    /// taken before a `restore` is used after it.
+    /// taken before an `absorb` is used after it.
     held: Handles,
     model: Model,
     twin: Registry,
     twin_held: Handles,
-    /// The last `snapshot` op's result; `restore` and `absorb` use it.
+    /// The last `snapshot` op's result; `absorb` uses it.
     saved: MetricsSnapshot,
 }
 
@@ -176,7 +171,7 @@ impl Harness {
         let (family, name, value) = op;
         let twin_counter = self.twin_held.counters[name % COUNTERS].expect("resolved in new");
         let twin_histogram = self.twin_held.histograms[name % HISTOGRAMS].expect("resolved in new");
-        match family % 10 {
+        match family % 9 {
             0 => {
                 apply(&mut self.reg, op);
                 self.model.add(counter_name(name), value.unsigned_abs());
@@ -212,11 +207,6 @@ impl Harness {
                 self.twin.observe(&histogram_name(name), BOUNDS, value);
             }
             7 => self.saved = self.reg.snapshot(),
-            8 => {
-                self.reg.restore(&self.saved);
-                self.model.restore(&self.saved);
-                self.twin.restore(&self.saved);
-            }
             _ => {
                 self.reg.absorb(&self.saved);
                 self.model.absorb(&self.saved);
@@ -346,7 +336,7 @@ proptest! {
     }
 
     /// Random interleavings of the name-keyed calls, the handle calls and
-    /// `snapshot` / `restore` / `absorb` agree with the `BTreeMap` model
+    /// `snapshot` / `absorb` agree with the `BTreeMap` model
     /// after every step — in the snapshot, its JSON, `counter()` and
     /// `histogram()` — and with a twin registry whose slots were laid out
     /// in the opposite order. Each case then ends on the three situations
@@ -354,7 +344,7 @@ proptest! {
     /// time whatever the interleaving was.
     #[test]
     fn handles_and_names_are_one_storage(
-        ops in prop::collection::vec((0usize..10, 0usize..8, 0i64..1_000), 0..48),
+        ops in prop::collection::vec((0usize..9, 0usize..8, 0i64..1_000), 0..48),
         tail in prop::collection::vec((0usize..8, 0i64..1_000), 1..8),
     ) {
         let mut h = Harness::new();
@@ -375,13 +365,12 @@ proptest! {
         prop_assert!(h.reg.histogram("histogram.idle").is_none());
         h.check()?;
 
-        // Handles taken before a restore record into the same names after
+        // Handles taken before an absorb record into the same names after
         // it — every pool name's handle, whichever the ops had resolved.
         let counters: Vec<CounterId> = (0..COUNTERS).map(|name| h.counter_id(name)).collect();
         let histograms: Vec<HistogramId> =
             (0..HISTOGRAMS).map(|name| h.histogram_id(name)).collect();
         h.apply((8, 0, 0));
-        prop_assert_eq!(h.reg.snapshot(), h.saved.clone());
         h.check()?;
         for (name, value) in tail {
             h.reg.add_to(counters[name % COUNTERS], value.unsigned_abs());

@@ -1,8 +1,7 @@
 //! A ready-made probe-sync fleet: N drifting clock nodes, fully
 //! connected by `[d₁, d₂]` channels, each running [`ProbeSync`].
 //!
-//! Used by the differential ε̂ tests, the checkpoint round-trip tests
-//! and the `sync_eps` bench; the explorer's catalog scenarios build the
+//! Used by the differential ε̂ tests and the `sync_eps` bench; the explorer's catalog scenarios build the
 //! same shape through its fault-injection machinery instead.
 
 use psync_executor::{ClockNode, DriftClock, Engine};

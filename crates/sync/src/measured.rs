@@ -3,8 +3,8 @@
 //!
 //! `ProbeSync` emits its bound as ordinary `CERTIFY` output actions, so
 //! the measured ε̂ lives in the execution record — which is exactly what
-//! checkpoint/fork preserve, what replays reproduce bit-identically, and
-//! what oracles judge. `MeasuredEps` scans those events once and hands
+//! a paused-and-resumed run preserves, what replays reproduce
+//! bit-identically, and what oracles judge. `MeasuredEps` scans those events once and hands
 //! the result to whoever wants to *parameterize* further checking: feed
 //! [`final_eps_hat`](MeasuredEps::final_eps_hat) to a `C_ε` oracle or a
 //! streaming `=_{ε,κ}` monitor and the downstream scenario runs on the

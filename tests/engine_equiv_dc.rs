@@ -15,10 +15,11 @@
 //! the components, per recorded event, must not grow with `n`.
 
 use std::cell::{Cell, RefCell};
+use std::collections::HashSet;
 use std::rc::Rc;
 
 use psync::prelude::*;
-use psync_automata::{TimedEvent, WakeHint};
+use psync_automata::{Action, TimedEvent, WakeHint};
 use psync_core::transform_node;
 use psync_executor::{ClockRead, EngineBuilder, Observer, ReferenceEngine, ReferenceEngineBuilder};
 
@@ -250,39 +251,29 @@ fn dc_register_runs_are_identical_across_engines() {
     }
 }
 
-/// A cut between two events — every fifth of the run — then checkpoint →
-/// restore into a freshly built engine → resume, and a `fork` at the same
-/// cut: both continuations and the cut engine itself must finish exactly
-/// like the uninterrupted run. This is `campaign_canary`'s shrink path on
-/// the product system: restore rebuilds every hint cache from the restored
-/// states.
+/// A pause between two events — every fifth of the run — then resume
+/// in the same engine: the run must finish exactly like the uninterrupted
+/// one. This is the pasting lemma's cut (Lemma 2.1) in the form the online
+/// judge's `ONLINE_CHUNK` loop and the explorer's restart seam rely on, on
+/// the product system.
 #[test]
-fn dc_register_checkpoint_restore_and_fork_resume_identically() {
+fn dc_register_pauses_resume_identically() {
     for shape in [SHAPES[0], SHAPES[2], SHAPES[3]] {
         for seed in [1, 42, 987_654_321] {
             let straight = shape.fast(seed).build().run().unwrap();
             let len = straight.execution.len();
             for cut in (1..5).map(|k| len * k / 5) {
                 let label = format!("n={} line={} seed={seed} cut={cut}", shape.n, shape.line);
-                let mut base = shape.fast(seed).build();
-                let paused = base.run_until_events(cut).unwrap();
+                let mut engine = shape.fast(seed).build();
+                let paused = engine.run_until_events(cut).unwrap();
                 assert_eq!(paused.stop, StopReason::Paused, "{label}");
-                let cp = base.checkpoint();
-                let mut restored = shape.fast(seed).build();
-                restored.restore(&cp);
-                let mut forked = base.fork(shape.fast(seed));
-                for (who, engine) in [
-                    ("restored", &mut restored),
-                    ("forked", &mut forked),
-                    ("base", &mut base),
-                ] {
-                    let run = engine.run().unwrap();
-                    assert_eq!(run.stop, straight.stop, "{label}: {who} stop");
-                    assert_eq!(
-                        run.execution, straight.execution,
-                        "{label}: {who} execution diverges"
-                    );
-                }
+                assert_eq!(paused.execution.len(), cut, "{label}: pause overshoots");
+                let run = engine.run().unwrap();
+                assert_eq!(run.stop, straight.stop, "{label}: stop");
+                assert_eq!(
+                    run.execution, straight.execution,
+                    "{label}: execution diverges"
+                );
             }
         }
     }
@@ -387,12 +378,11 @@ impl<C: ClockComponent> ClockComponent for Counted<C> {
 /// D_C system at `n`, assembled part by part as `transform_node` and
 /// `build_dc` do, with every part counted.
 ///
-/// The run is made twice on one engine — once from the start state, then
-/// again after restoring the start state's checkpoint — and the second
-/// run is the one counted: the route table is static configuration that
-/// `restore` keeps, so by then every `(name, key)` the run fires has its
-/// visit list and the count is the steady-state cost, free of the
-/// one-time scan per key. Both runs must record what `build_dc` records.
+/// The count is the steady-state cost, free of the one-time scan per
+/// `(name, route_key)`: a first run finds the event at which the last new
+/// pair fires, and a fresh engine is paused just past it, its tallies
+/// zeroed, and the rest of its run counted. Both runs must record what
+/// `build_dc` records.
 fn questions_per_event(n: usize) -> (f64, f64) {
     let shape = Shape {
         n,
@@ -408,67 +398,82 @@ fn questions_per_event(n: usize) -> (f64, f64) {
             asked: Rc::clone(asked),
         }
     }
-    let mut b = EngineBuilder::default();
-    for (spec, strategy) in shape.algorithms().into_iter().zip(shape.clocks(seed)) {
-        let i = spec.id;
-        let mut node = ClockNode::new(format!("A^c({i})"), Shape::eps(), strategy).with(counted(
-            &asked,
-            HiddenClock::new(ClockSim::from_box(spec.algorithm), |a: &RegAction| {
-                matches!(a, SysAction::Send(_))
-            }),
-        ));
-        for j in topo.out_neighbors(i) {
-            node = node.with(counted(&asked, SendBuffer::<RegMsg, RegisterOp>::new(i, j)));
+    let build = || {
+        let mut b = EngineBuilder::default();
+        for (spec, strategy) in shape.algorithms().into_iter().zip(shape.clocks(seed)) {
+            let i = spec.id;
+            let mut node =
+                ClockNode::new(format!("A^c({i})"), Shape::eps(), strategy).with(counted(
+                    &asked,
+                    HiddenClock::new(ClockSim::from_box(spec.algorithm), |a: &RegAction| {
+                        matches!(a, SysAction::Send(_))
+                    }),
+                ));
+            for j in topo.out_neighbors(i) {
+                node = node.with(counted(&asked, SendBuffer::<RegMsg, RegisterOp>::new(i, j)));
+            }
+            for j in topo.in_neighbors(i) {
+                node = node.with(counted(
+                    &asked,
+                    HiddenClock::new(
+                        RecvBuffer::<RegMsg, RegisterOp>::new(j, i),
+                        |a: &RegAction| matches!(a, SysAction::Recv(_)),
+                    ),
+                ));
+            }
+            b = b.clock_node(node);
         }
-        for j in topo.in_neighbors(i) {
-            node = node.with(counted(
+        for &(i, j) in topo.edges() {
+            b = b.timed(counted(
                 &asked,
-                HiddenClock::new(
-                    RecvBuffer::<RegMsg, RegisterOp>::new(j, i),
-                    |a: &RegAction| matches!(a, SysAction::Recv(_)),
+                ClockChannel::<RegMsg, RegisterOp>::new(
+                    i,
+                    j,
+                    Shape::physical(),
+                    Shape::delay(seed, i, j),
                 ),
             ));
         }
-        b = b.clock_node(node);
-    }
-    for &(i, j) in topo.edges() {
-        b = b.timed(counted(
-            &asked,
-            ClockChannel::<RegMsg, RegisterOp>::new(
-                i,
-                j,
-                Shape::physical(),
-                Shape::delay(seed, i, j),
-            ),
-        ));
-    }
-    let mut engine = b
-        .timed(counted(&asked, shape.workload(seed)))
-        .scheduler(RandomScheduler::new(seed))
-        .horizon(shape.horizon())
-        .build();
+        b.timed(counted(&asked, shape.workload(seed)))
+            .scheduler(RandomScheduler::new(seed))
+            .horizon(shape.horizon())
+            .build()
+    };
     let expected = shape.fast(seed).build().run().unwrap().execution;
-    let start = engine.checkpoint();
-    let cold = engine.run().unwrap();
+    let cold = build().run().unwrap();
     assert_eq!(cold.execution, expected, "n={n}: counted system, first run");
     let cold_classify = asked.classify.replace(0);
+    let mut seen = HashSet::new();
+    let last_new = expected
+        .events()
+        .iter()
+        .enumerate()
+        .filter(|(_, e)| seen.insert((e.action.name(), e.action.route_key())))
+        .map(|(index, _)| index)
+        .last()
+        .expect("the run fires events");
+    let warm_from = last_new + 1;
+    let mut engine = build();
+    engine.run_until_events(warm_from).unwrap();
+    asked.classify.set(0);
     asked.state.set(0);
-    engine.restore(&start);
     let warm = engine.run().unwrap();
     assert_eq!(
         warm.execution, expected,
-        "n={n}: counted system, second run"
+        "n={n}: counted system, paused run"
     );
-    let per_event = |tally: u64| tally as f64 / expected.len() as f64;
+    let counted_events = expected.len() - warm_from;
+    assert!(counted_events > 0, "n={n}: nothing left to count");
+    let per = |tally: u64, events: usize| tally as f64 / events as f64;
     let (classify, state) = (
-        per_event(asked.classify.get()),
-        per_event(asked.state.get()),
+        per(asked.classify.get(), counted_events),
+        per(asked.state.get(), counted_events),
     );
     eprintln!(
-        "n={n}: {} events; per event: classify {:.2} first run, {classify:.2} second; \
-         state questions {state:.2}",
+        "n={n}: {} events, steady state from event {warm_from}; per event: classify {:.2} \
+         over the whole first run, {classify:.2} steady; state questions {state:.2}",
         expected.len(),
-        per_event(cold_classify),
+        per(cold_classify, expected.len()),
     );
     (classify, state)
 }
