@@ -51,17 +51,23 @@ pub trait Action: Clone + Eq + Hash + Debug + 'static {
     /// `C`, `C.classify(a).is_some() == C.classify(b).is_some()`. The
     /// execution engine relies on it to remember, per `(name, key)`, which
     /// components to visit when such an action fires, instead of asking
-    /// every component that lists the name. The key sits on the action
-    /// rather than on the component traits so that wrappers (`Hidden`,
-    /// `Pair`, `Relabel`, the boxes) need not forward anything.
+    /// every component that lists the name.
+    ///
+    /// A component whose actions all carry one key declares it with
+    /// [`TimedComponent::signature_key`], computed by the function that
+    /// computes the action's key (`psync_net::edge_route_key` for message
+    /// actions); a key's first fire then asks only the components that
+    /// declared it or nothing. The boxes, `Hidden` and `HiddenClock`
+    /// forward it; `Relabel`, `Pair` and `ClockComposite` declare nothing.
     ///
     /// A key that is too coarse is always safe (`None` is the coarsest);
-    /// one that separates less than a component's `classify` does — two
-    /// actions sharing a key but not a signature — breaks routing silently
-    /// in release builds. Debug builds re-derive the visit list by full
-    /// scan on every fired action and assert it matches.
+    /// one that separates less than a component's `classify` does, or a
+    /// declaration an action of the component does not carry, breaks
+    /// routing silently in release builds. Debug builds re-derive the
+    /// visit list by full scan on every fired action and assert it matches.
     ///
     /// [`TimedComponent::action_names`]: crate::TimedComponent::action_names
+    /// [`TimedComponent::signature_key`]: crate::TimedComponent::signature_key
     fn route_key(&self) -> Option<u64> {
         None
     }

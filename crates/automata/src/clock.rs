@@ -62,6 +62,13 @@ pub trait ClockComponent: 'static {
         None
     }
 
+    /// The one [`Action::route_key`] of every action in the signature, if
+    /// any: the contract of
+    /// [`TimedComponent::signature_key`](crate::TimedComponent::signature_key).
+    fn signature_key(&self) -> Option<u64> {
+        None
+    }
+
     /// Applies the non-time-passage action `a` when the node clock reads
     /// `clock`, or `None` if `a` is not enabled.
     fn step(&self, s: &Self::State, a: &Self::Action, clock: Time) -> Option<Self::State>;
@@ -111,6 +118,7 @@ pub(crate) trait DynClock<A: Action> {
     fn initial_dyn(&self) -> DynState;
     fn classify_dyn(&self, a: &A) -> Option<ActionKind>;
     fn action_names_dyn(&self) -> Option<Vec<&'static str>>;
+    fn signature_key_dyn(&self) -> Option<u64>;
     fn step_dyn(&self, s: &DynState, a: &A, clock: Time) -> Option<DynState>;
     fn enabled_dyn(&self, s: &DynState, clock: Time) -> Vec<A>;
     fn clock_deadline_dyn(&self, s: &DynState, clock: Time) -> Option<Time>;
@@ -131,6 +139,10 @@ impl<A: Action, C: ClockComponent<Action = A>> DynClock<A> for Eraser<C> {
 
     fn action_names_dyn(&self) -> Option<Vec<&'static str>> {
         self.0.action_names()
+    }
+
+    fn signature_key_dyn(&self) -> Option<u64> {
+        self.0.signature_key()
     }
 
     fn step_dyn(&self, s: &DynState, a: &A, clock: Time) -> Option<DynState> {
@@ -270,6 +282,10 @@ impl<A: Action> ClockComponent for ClockComponentBox<A> {
         ClockComponentBox::action_names(self)
     }
 
+    fn signature_key(&self) -> Option<u64> {
+        self.inner.signature_key_dyn()
+    }
+
     fn step(&self, s: &DynState, a: &A, clock: Time) -> Option<DynState> {
         ClockComponentBox::step(self, s, a, clock)
     }
@@ -375,6 +391,8 @@ impl<A: Action> ClockComponent for ClockComposite<A> {
         Some(names)
     }
 
+    // `signature_key` stays `None`: a union of parts has no single key.
+
     fn step(&self, s: &CompositeState, a: &A, clock: Time) -> Option<CompositeState> {
         let mut next = s.clone();
         let mut touched = false;
@@ -467,6 +485,10 @@ where
     fn action_names(&self) -> Option<Vec<&'static str>> {
         // Hiding reclassifies actions, never changes signature membership.
         self.inner.action_names()
+    }
+
+    fn signature_key(&self) -> Option<u64> {
+        self.inner.signature_key()
     }
 
     fn step(&self, s: &Self::State, a: &Self::Action, clock: Time) -> Option<Self::State> {

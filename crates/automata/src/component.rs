@@ -65,14 +65,22 @@ pub trait TimedComponent: 'static {
     /// (the default) routes every action to the component, which is always
     /// correct, merely slower.
     ///
-    /// Names are the coarse half of routing. The fine half sits on the
-    /// action, not here: [`Action::route_key`] lets an action say *whose*
-    /// it is (the edge of a `SENDMSG`, the node of a `READ`), under the
-    /// contract that two actions with the same name and the same key are
-    /// in the same components' signatures — so `classify` must not tell
-    /// apart two actions that share both. A component (or a wrapper such
-    /// as [`Hidden`]) has nothing to implement for it.
+    /// Names are the coarse half of routing. The fine half is the
+    /// [`Action::route_key`] an action carries (the edge of a `SENDMSG`,
+    /// the node of a `READ`): `classify` must not tell apart two actions
+    /// that share name and key. A component whose actions all carry one
+    /// key says so with [`signature_key`](TimedComponent::signature_key).
     fn action_names(&self) -> Option<Vec<&'static str>> {
+        None
+    }
+
+    /// A routing hint like [`action_names`](TimedComponent::action_names):
+    /// `Some(k)` promises that every action `classify` takes carries
+    /// [`Action::route_key`] `Some(k)`. A key's first fire then asks only
+    /// the components that declared it and those that declared nothing
+    /// (the default `None`). Per-edge parts declare their edge; wrappers
+    /// that keep signature membership, such as [`Hidden`], forward it.
+    fn signature_key(&self) -> Option<u64> {
         None
     }
 
@@ -195,6 +203,7 @@ pub(crate) trait DynTimed<A: Action> {
     fn initial_dyn(&self) -> DynState;
     fn classify_dyn(&self, a: &A) -> Option<ActionKind>;
     fn action_names_dyn(&self) -> Option<Vec<&'static str>>;
+    fn signature_key_dyn(&self) -> Option<u64>;
     fn step_dyn(&self, s: &DynState, a: &A, now: Time) -> Option<DynState>;
     fn enabled_dyn(&self, s: &DynState, now: Time) -> Vec<A>;
     fn deadline_dyn(&self, s: &DynState, now: Time) -> Option<Time>;
@@ -257,6 +266,10 @@ impl<A: Action, C: TimedComponent<Action = A>> DynTimed<A> for Eraser<C> {
 
     fn action_names_dyn(&self) -> Option<Vec<&'static str>> {
         self.0.action_names()
+    }
+
+    fn signature_key_dyn(&self) -> Option<u64> {
+        self.0.signature_key()
     }
 
     fn step_dyn(&self, s: &DynState, a: &A, now: Time) -> Option<DynState> {
@@ -411,6 +424,10 @@ impl<A: Action> TimedComponent for ComponentBox<A> {
         ComponentBox::action_names(self)
     }
 
+    fn signature_key(&self) -> Option<u64> {
+        self.inner.signature_key_dyn()
+    }
+
     fn step(&self, s: &DynState, a: &A, now: Time) -> Option<DynState> {
         ComponentBox::step(self, s, a, now)
     }
@@ -501,6 +518,10 @@ where
         // Hiding reclassifies actions; it never changes signature
         // membership, so the inner hint stays exact.
         self.inner.action_names()
+    }
+
+    fn signature_key(&self) -> Option<u64> {
+        self.inner.signature_key()
     }
 
     fn step(&self, s: &Self::State, a: &Self::Action, now: Time) -> Option<Self::State> {

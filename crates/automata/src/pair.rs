@@ -95,6 +95,8 @@ where
         Some(names)
     }
 
+    // `signature_key` stays `None`: a union of two signatures has no single key.
+
     fn step(&self, s: &Self::State, act: &Self::Action, now: Time) -> Option<Self::State> {
         let in_a = self.a.classify(act).is_some();
         let in_b = self.b.classify(act).is_some();

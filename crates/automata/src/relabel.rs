@@ -85,6 +85,8 @@ where
         self.inner.classify(&(self.project)(b)?)
     }
 
+    // `signature_key` stays `None`: relabelling can change an action's key.
+
     fn step(&self, s: &Self::State, b: &B, now: Time) -> Option<Self::State> {
         self.inner.step(s, &(self.project)(b)?, now)
     }

@@ -4,7 +4,7 @@ use core::fmt::Debug;
 use core::hash::Hash;
 
 use psync_automata::{Action, ActionKind, ClockComponent, WakeHint};
-use psync_net::{Envelope, NodeId, SysAction};
+use psync_net::{edge_route_key, Envelope, NodeId, SysAction};
 use psync_time::Time;
 
 /// State of a [`RecvBuffer`]: buffered `(message, stamp, arrival-seq)`
@@ -104,6 +104,10 @@ where
 
     fn action_names(&self) -> Option<Vec<&'static str>> {
         Some(vec!["ERECVMSG", "RECVMSG"])
+    }
+
+    fn signature_key(&self) -> Option<u64> {
+        edge_route_key(self.from, self.to)
     }
 
     fn step(&self, s: &Self::State, a: &Self::Action, clock: Time) -> Option<Self::State> {

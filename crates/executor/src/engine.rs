@@ -15,10 +15,10 @@
 //!   [`TimedComponent::action_names`] hint lists it (built once at
 //!   [`EngineBuilder::build`]); and under it, per
 //!   [`Action::route_key`], the components that actually have an action
-//!   of that name and key in signature (found by asking the name's list
-//!   once, the first time the key fires). Firing `SENDMSG_i(j, m)` visits
-//!   node `i`'s algorithm and the one send buffer of edge `(i, j)`, not
-//!   every send buffer in the system;
+//!   of that name and key in signature (found at the key's first fire by
+//!   asking the components that declared it as their
+//!   [`TimedComponent::signature_key`], or declared none). `SENDMSG_i(j, m)`
+//!   visits node `i`'s algorithm and edge `(i, j)`'s send buffer, not all;
 //! * per component, the **wake hint and deadline** it reported when time
 //!   last had to pass after it changed, indexed per *time basis* — real time for
 //!   the timed components, its own clock for each node: a [`WakeSet`]
@@ -284,8 +284,8 @@ impl<A: Action> EngineBuilder<A> {
     /// read once, and components are indexed by the action names they
     /// admit. Components without a hint land in the wildcard set and are
     /// visited for every action, so hint-less components behave exactly as
-    /// before. The per-key half fills in as keys fire (`visit_list`):
-    /// nothing is added to `build()` for it, which short runs would pay.
+    /// before. The per-key half (and the declarations it reads) fills in as
+    /// keys fire (`visit_list`): nothing is added to `build()` for it.
     #[must_use]
     pub fn build(self) -> Engine<A> {
         let timed: Vec<TimedRuntime<A>> = self
@@ -377,8 +377,8 @@ impl<A: Action> EngineBuilder<A> {
                 route_pool.extend_from_slice(&ids[i..]);
                 route_pool.extend_from_slice(&wildcard[j..]);
                 let all = Span::appended(&route_pool, start);
-                let keyed = HashMap::default();
-                (name, NameRoute { all, keyed })
+                let (keyed, split) = (HashMap::default(), None);
+                (name, NameRoute { all, keyed, split })
             })
             .collect();
 
@@ -464,6 +464,16 @@ struct NameRoute {
     /// and key in signature, memoised by [`Engine::visit_list`] the first
     /// time the key fires. Fast-hashed: looked up once per fired event.
     keyed: HashMap<u64, Span, FastBuildHasher>,
+    /// `all` split by `signature_key`, read at the name's first keyed fire.
+    split: Option<Declared>,
+}
+
+/// The members of one name's `all` list, by what they declared.
+struct Declared {
+    /// The members that declared no key, ascending.
+    undeclared: Span,
+    /// The others as `(key, id)`, sorted: a key's declarers are one run.
+    keyed: Box<[(u64, u32)]>,
 }
 
 /// `holder_pos` value of a component that caches no clock deadline.
@@ -501,9 +511,9 @@ pub struct Engine<A: Action> {
     /// action names no hint mentions.
     wildcard: Span,
     /// Backing store of every visit list: the per-name lists laid down by
-    /// `build()`, then the per-key lists in the order their keys first
-    /// fired. `u32` ids and one allocation keep the table small — a
-    /// complete graph has one key per edge and direction.
+    /// `build()`, then undeclared members and per-key lists as first needed.
+    /// `u32` ids and one allocation keep the table small — a complete graph
+    /// has one key per edge and direction.
     route_pool: Vec<u32>,
     /// Per-component cached `enabled()` result; valid iff not dirty.
     enabled_cache: Vec<Vec<A>>,
@@ -1095,10 +1105,11 @@ impl<A: Action> Engine<A> {
     /// component whose `action_names` hint lists its name, plus the
     /// wildcard components (a name no hint mentions visits the wildcard
     /// components alone). A keyed action visits only those of them that
-    /// classify it — found by asking each once, the first time the
-    /// `(name, key)` pair fires, and remembered: by the key contract every
-    /// later action of that name and key has the same answer. Debug builds
-    /// ask again every time and compare.
+    /// classify it, found at the pair's first fire by asking the members
+    /// that declared its key as [`signature_key`](TimedComponent::signature_key)
+    /// or none, and remembered: by the key contract every later action of
+    /// that name and key has the same answer. Debug builds ask the whole
+    /// list every time and compare.
     fn visit_list(&mut self, action: &A) -> Span {
         let Some(by_name) = self.route.get_mut(action.name()) else {
             return self.wildcard;
@@ -1113,30 +1124,53 @@ impl<A: Action> Engine<A> {
             Origin::Node(n, j) => nodes[n].comps[j].0.classify(action).is_some(),
         };
         let pool = &mut self.route_pool;
-        match by_name.keyed.entry(key) {
-            Entry::Occupied(e) => {
-                let span = *e.get();
-                debug_assert!(
-                    pool[all.range()]
-                        .iter()
-                        .filter(|&&id| in_signature(id))
-                        .eq(&pool[span.range()]),
-                    "route_key contract broken: {action:?} shares name and key with an \
-                     earlier action but not its signature set"
-                );
-                span
-            }
+        let span = match by_name.keyed.entry(key) {
+            Entry::Occupied(e) => *e.get(),
             Entry::Vacant(v) => {
+                let split = by_name.split.get_or_insert_with(|| {
+                    let mut keyed = Vec::new();
+                    let start = pool.len();
+                    for slot in all.range() {
+                        let id = pool[slot];
+                        let own_key = match flat_origin[id as usize] {
+                            Origin::Timed(i) => timed[i].comp.signature_key(),
+                            Origin::Node(n, j) => nodes[n].comps[j].0.signature_key(),
+                        };
+                        match own_key {
+                            Some(k) => keyed.push((k, id)),
+                            None => pool.push(id),
+                        }
+                    }
+                    keyed.sort_unstable();
+                    Declared {
+                        undeclared: Span::appended(pool, start),
+                        keyed: keyed.into_boxed_slice(),
+                    }
+                });
+                let first = split.keyed.partition_point(|&(k, _)| k < key);
+                let run = split.keyed[first..].iter().take_while(|&&(k, _)| k == key);
+                // Sorting the takers merges the two ascending lists into flat order.
                 let start = pool.len();
-                for k in all.range() {
-                    let id = pool[k];
+                for slot in split.undeclared.range() {
+                    let id = pool[slot];
                     if in_signature(id) {
                         pool.push(id);
                     }
                 }
+                pool.extend(run.map(|&(_, id)| id).filter(|&id| in_signature(id)));
+                pool[start..].sort_unstable();
                 *v.insert(Span::appended(pool, start))
             }
-        }
+        };
+        debug_assert!(
+            pool[all.range()]
+                .iter()
+                .filter(|&&id| in_signature(id))
+                .eq(&pool[span.range()]),
+            "route_key contract broken: {action:?} is not taken by exactly its visit list \
+             (a key shared across signature sets, or a signature_key it does not carry)"
+        );
+        span
     }
 
     /// Applies `action` to every component having it in signature and

@@ -1,9 +1,10 @@
 //! The engine's model-error catalogue: every [`EngineError`] variant is
 //! reachable exactly when a component (or strategy) breaks its contract,
-//! and never on well-formed compositions.
+//! and never on well-formed compositions. A broken routing hint is a bug
+//! the run cannot report, so debug builds panic on it instead.
 
 use psync_automata::toys::BeepAction;
-use psync_automata::{ActionKind, ClockComponent, TimedComponent};
+use psync_automata::{Action, ActionKind, ClockComponent, TimedComponent};
 use psync_executor::{AdvanceCtx, ClockNode, ClockStrategy, Engine, EngineError, PerfectClock};
 use psync_time::{Duration, Time};
 
@@ -300,4 +301,69 @@ mod incremental {
         let _ = e.run_until(Time::ZERO + ms(20)).unwrap();
         let _ = e.run_until(Time::ZERO + ms(10));
     }
+}
+
+/// A part that declares a `signature_key` its actions do not carry is
+/// skipped when the key first fires; debug builds re-derive that visit
+/// list by asking the whole name list and stop the run.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "route_key contract broken")]
+fn a_wrong_signature_key_is_caught_at_first_fire() {
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    struct Keyed(u64);
+    impl Action for Keyed {
+        fn name(&self) -> &'static str {
+            "KEYED"
+        }
+        fn route_key(&self) -> Option<u64> {
+            Some(self.0)
+        }
+    }
+    /// Offers `Keyed(1)` once, or takes every `Keyed` as an input while
+    /// declaring that its actions carry key 2.
+    struct Part {
+        emits: bool,
+    }
+    impl TimedComponent for Part {
+        type Action = Keyed;
+        type State = bool;
+        fn name(&self) -> String {
+            format!("part(emits={})", self.emits)
+        }
+        fn initial(&self) -> bool {
+            false
+        }
+        fn classify(&self, _a: &Keyed) -> Option<ActionKind> {
+            Some(if self.emits {
+                ActionKind::Output
+            } else {
+                ActionKind::Input
+            })
+        }
+        fn action_names(&self) -> Option<Vec<&'static str>> {
+            Some(vec!["KEYED"])
+        }
+        fn signature_key(&self) -> Option<u64> {
+            (!self.emits).then_some(2)
+        }
+        fn step(&self, fired: &bool, _a: &Keyed, _now: Time) -> Option<bool> {
+            (!self.emits || !fired).then_some(true)
+        }
+        fn enabled(&self, fired: &bool, _now: Time) -> Vec<Keyed> {
+            if self.emits && !fired {
+                vec![Keyed(1)]
+            } else {
+                Vec::new()
+            }
+        }
+        fn deadline(&self, fired: &bool, _now: Time) -> Option<Time> {
+            (self.emits && !fired).then_some(Time::ZERO)
+        }
+    }
+    let mut engine = Engine::builder()
+        .timed(Part { emits: true })
+        .timed(Part { emits: false })
+        .build();
+    let _ = engine.run();
 }

@@ -82,6 +82,17 @@ impl<M, A> SysAction<M, A> {
     }
 }
 
+/// The [`Action::route_key`] of every message action on edge `src → dst`,
+/// and the `signature_key` of every per-edge part, so the two cannot drift
+/// apart: both ids in one word, or `None` past 2³² (packing would collide;
+/// routing by name alone is always correct).
+#[must_use]
+pub fn edge_route_key(src: NodeId, dst: NodeId) -> Option<u64> {
+    let src = u32::try_from(src.0).ok()?;
+    let dst = u32::try_from(dst.0).ok()?;
+    Some((u64::from(src) << 32) | u64::from(dst))
+}
+
 impl<M, A> Action for SysAction<M, A>
 where
     M: Clone + Eq + Hash + Debug + 'static,
@@ -110,13 +121,7 @@ where
             SysAction::Send(env)
             | SysAction::Recv(env)
             | SysAction::ESend(env, _)
-            | SysAction::ERecv(env, _) => {
-                // Node ids past 2³² would collide when packed; routing by
-                // name alone is always correct.
-                let src = u32::try_from(env.src.0).ok()?;
-                let dst = u32::try_from(env.dst.0).ok()?;
-                Some((u64::from(src) << 32) | u64::from(dst))
-            }
+            | SysAction::ERecv(env, _) => edge_route_key(env.src, env.dst),
             SysAction::Tick { .. } | SysAction::Tau { .. } => None,
         }
     }

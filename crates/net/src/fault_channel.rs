@@ -24,7 +24,7 @@ use psync_automata::{Action, ActionKind, TimedComponent};
 use psync_time::{DelayBounds, Duration, Time};
 
 use crate::channel::InFlight;
-use crate::{DelayPolicy, Envelope, MsgId, NodeId, SysAction};
+use crate::{edge_route_key, DelayPolicy, Envelope, MsgId, NodeId, SysAction};
 
 /// Shared-handle fault counters for one [`FaultChannel`] (the
 /// `ScriptedClock::rejections` idiom): clone the handle out of
@@ -189,6 +189,10 @@ where
 
     fn action_names(&self) -> Option<Vec<&'static str>> {
         Some(vec!["SENDMSG", "RECVMSG"])
+    }
+
+    fn signature_key(&self) -> Option<u64> {
+        edge_route_key(self.from, self.to)
     }
 
     fn step(&self, s: &Self::State, a: &Self::Action, now: Time) -> Option<Self::State> {

@@ -13,7 +13,7 @@ use core::hash::Hash;
 use psync_automata::{Action, ActionKind, TimedComponent, WakeHint};
 use psync_time::{DelayBounds, Time};
 
-use crate::{DelayPolicy, Envelope, NodeId, SysAction};
+use crate::{edge_route_key, DelayPolicy, Envelope, NodeId, SysAction};
 
 /// One in-flight message of a FIFO channel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,6 +87,10 @@ where
 
     fn action_names(&self) -> Option<Vec<&'static str>> {
         Some(vec!["SENDMSG", "RECVMSG"])
+    }
+
+    fn signature_key(&self) -> Option<u64> {
+        edge_route_key(self.from, self.to)
     }
 
     fn step(&self, s: &Self::State, a: &Self::Action, now: Time) -> Option<Self::State> {

@@ -58,7 +58,7 @@ mod message;
 mod script;
 mod topology;
 
-pub use action::SysAction;
+pub use action::{edge_route_key, SysAction};
 pub use channel::{Channel, InFlight};
 pub use clock_channel::{ClockChannel, InFlightStamped};
 pub use delay::{DelayPolicy, MaxDelay, MinDelay, SeededDelay};

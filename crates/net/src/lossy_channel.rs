@@ -17,7 +17,7 @@ use psync_automata::{Action, ActionKind, TimedComponent, WakeHint};
 use psync_time::{DelayBounds, Time};
 
 use crate::channel::InFlight;
-use crate::{DelayPolicy, Envelope, MsgId, NodeId, SysAction};
+use crate::{edge_route_key, DelayPolicy, Envelope, MsgId, NodeId, SysAction};
 
 /// Decides which messages a [`LossyChannel`] drops. Pure per-message
 /// function, so runs stay reproducible.
@@ -133,6 +133,10 @@ where
 
     fn action_names(&self) -> Option<Vec<&'static str>> {
         Some(vec!["SENDMSG", "RECVMSG"])
+    }
+
+    fn signature_key(&self) -> Option<u64> {
+        edge_route_key(self.from, self.to)
     }
 
     fn step(&self, s: &Self::State, a: &Self::Action, now: Time) -> Option<Self::State> {

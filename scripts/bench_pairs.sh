@@ -15,6 +15,13 @@
 # and how many pairs the change won (higher events_per_s, lower
 # peak_rss_mb / setup_s; ties count for neither side).
 #
+# Then a verdict per metric against the repo's BENCHMARK.json: the change's
+# median is `within bound` or `OVER BOUND` of the parent's by that metric's
+# `end_to_end[].bound` (a fraction). For events_per_s it also says whether
+# the choosing-metrics §8 gain rule holds: the change wins at least 9/10 of
+# the pairs and the medians differ by more than the parent's IQR. The
+# verdict is printed only; it does not change the exit code.
+#
 # Exits 1 if any run fails or the two binaries print different `exact`
 # lines (the execution changed), 2 on a usage error.
 set -euo pipefail
@@ -81,26 +88,59 @@ for pair in $(seq 1 "$pairs"); do
                         pair, first, pe, ce, ce / pe, pr, cr, ps, cs }'
 done
 
-# Median and quartiles by linear interpolation between order statistics.
-stats() { # file
+# Median and quartiles by linear interpolation between order statistics,
+# as three numbers: median q1 q3.
+quartiles() { # file
     sort -g "$1" | awk '{ v[NR] = $1 }
         function q(p,  h, i) { h = 1 + (NR - 1) * p; i = int(h); return v[i] + (h - i) * (v[i + 1] - v[i]) }
-        END { v[NR + 1] = v[NR]; printf "median %.6g  q1 %.6g  q3 %.6g", q(0.5), q(0.25), q(0.75) }'
+        END { v[NR + 1] = v[NR]; printf "%.6g %.6g %.6g", q(0.5), q(0.25), q(0.75) }'
+}
+
+stats() { # file
+    quartiles "$1" | awk '{ printf "median %s  q1 %s  q3 %s", $1, $2, $3 }'
 }
 
 wins() { # metric better
     paste "$out/parent.$1" "$out/change.$1" | awk -v better="$2" '
         { if (better == "higher" ? $2 > $1 : $2 < $1) w++; else if ($2 != $1) l++ }
-        END { printf "change wins %d/%d pairs (loses %d)", w, NR, l }'
+        END { printf "%d %d %d", w, NR, l }'
+}
+
+# A metric's `bound` from the `end_to_end` list of BENCHMARK.json (one
+# object per line there), or nothing.
+bench_json=$(dirname "$0")/../BENCHMARK.json
+bound() { # metric
+    [ -r "$bench_json" ] || return 0
+    awk -v m="$1" '/"end_to_end"/ { on = 1 } on && /^[[:space:]]*\]/ { on = 0 }
+        on && $0 ~ "\"name\": *\"" m "\"" && match($0, /"bound": *[0-9.eE+-]+/) {
+            s = substr($0, RSTART, RLENGTH); sub(/.*: */, "", s); print s }' "$bench_json"
 }
 
 echo
 for m in events_per_s:higher peak_rss_mb:lower setup_s:lower; do
     name=${m%%:*} better=${m##*:}
+    read -r pmed pq1 pq3 <<<"$(quartiles "$out/parent.$name")"
+    read -r cmed _ _ <<<"$(quartiles "$out/change.$name")"
+    read -r won total lost <<<"$(wins "$name" "$better")"
     echo "$name ($better is better)"
     echo "  parent: $(stats "$out/parent.$name")"
     echo "  change: $(stats "$out/change.$name")"
-    echo "  $(wins "$name" "$better")"
+    echo "  change wins $won/$total pairs (loses $lost)"
+    b=$(bound "$name")
+    if [ -z "$b" ]; then
+        echo "  verdict: no bound for $name in $bench_json"
+    else
+        awk -v p="$pmed" -v c="$cmed" -v b="$b" -v better="$better" 'BEGIN {
+            over = (better == "higher" ? p - c : c - p) / p > b
+            printf "  verdict: change median %+.1f %% vs parent, bound %g %%: %s\n",
+                100 * (c - p) / p, 100 * b, over ? "OVER BOUND" : "within bound" }'
+    fi
+    if [ "$name" = events_per_s ]; then
+        awk -v w="$won" -v n="$total" -v p="$pmed" -v c="$cmed" -v q1="$pq1" -v q3="$pq3" 'BEGIN {
+            ok = 10 * w >= 9 * n && c - p > q3 - q1
+            printf "  gain rule (>= 9/10 wins, median gap > parent IQR): wins %d/%d, gap %.6g, IQR %.6g: %s\n",
+                w, n, c - p, q3 - q1, ok ? "holds" : "does not hold" }'
+    fi
 done
 
 if [ "$exact_differs" -ne 0 ]; then

@@ -11,10 +11,12 @@
 //! inner `wake_hint` (Definition 4.1), so one walker serves both bases.
 //!
 //! **Route keys.** Two actions with the same name and the same
-//! [`Action::route_key`] must be in the signature of the same components.
-//! The engine asserts it on every fired action in debug builds; the test
-//! below checks it over a generated action alphabet against every
-//! `SysAction`-taking component of `net`, `core` and `register`.
+//! [`Action::route_key`] must be in the signature of the same components,
+//! and a component that declares a `signature_key` must take only actions
+//! carrying that key. The engine asserts both on every fired action in
+//! debug builds; the test below checks them over a generated action
+//! alphabet against every `SysAction`-taking component of `net`, `core`
+//! and `register`, and against the wrappers that forward a declaration.
 
 use proptest::prelude::*;
 use psync::prelude::*;
@@ -253,12 +255,21 @@ fn alphabet() -> Vec<RegAction> {
 #[test]
 fn route_keys_never_separate_less_than_classify() {
     type Sig = Box<dyn Fn(&RegAction) -> bool>;
-    fn timed<C: TimedComponent<Action = RegAction>>(c: C) -> (String, Sig) {
-        (c.name(), Box::new(move |a| c.classify(a).is_some()))
+    fn timed<C: TimedComponent<Action = RegAction>>(c: C) -> (String, Option<u64>, Sig) {
+        (
+            c.name(),
+            c.signature_key(),
+            Box::new(move |a| c.classify(a).is_some()),
+        )
     }
-    fn clock<C: ClockComponent<Action = RegAction>>(c: C) -> (String, Sig) {
-        (c.name(), Box::new(move |a| c.classify(a).is_some()))
+    fn clock<C: ClockComponent<Action = RegAction>>(c: C) -> (String, Option<u64>, Sig) {
+        (
+            c.name(),
+            c.signature_key(),
+            Box::new(move |a| c.classify(a).is_some()),
+        )
     }
+    let hide_recv = |a: &RegAction| matches!(a, SysAction::Recv(_));
     let (i, j) = (NodeId(0), NodeId(2));
     let topo = Topology::complete(3);
     let think = DelayBounds::new(ms(1), ms(2)).unwrap();
@@ -273,6 +284,15 @@ fn route_keys_never_separate_less_than_classify() {
         // core
         clock(SendBuffer::new(i, j)),
         clock(RecvBuffer::new(i, j)),
+        clock(HiddenClock::new(RecvBuffer::new(j, i), hide_recv)),
+        clock(ClockComponentBox::new(HiddenClock::new(
+            RecvBuffer::new(i, j),
+            hide_recv,
+        ))),
+        timed(ComponentBox::new(Hidden::new(
+            ClockChannel::new(j, i, bounds(), MaxDelay),
+            |_: &RegAction| true,
+        ))),
         clock(ClockSim::new(AlgorithmS::new(i, alg_params()))),
         // register
         timed(AlgorithmS::new(j, alg_params())),
@@ -283,8 +303,21 @@ fn route_keys_never_separate_less_than_classify() {
             BaselineParams::new(topo.nodes().collect(), ms(2), ms(6)),
         )),
     ];
+    // Every per-edge part declares its edge, wrapped or not: 5 channels,
+    // 2 buffers, and the hidden and boxed buffers and channel.
+    let declaring = components.iter().filter(|(_, k, _)| k.is_some()).count();
+    assert_eq!(declaring, 10, "a wrapper dropped a signature_key");
     let alphabet = alphabet();
-    for (name, in_signature) in &components {
+    for (name, declared, in_signature) in &components {
+        if declared.is_some() {
+            for a in alphabet.iter().filter(|a| in_signature(a)) {
+                assert_eq!(
+                    a.route_key(),
+                    *declared,
+                    "{name}: classifies {a:?}, whose key is not its signature_key"
+                );
+            }
+        }
         for a in &alphabet {
             let Some(key) = a.route_key() else { continue };
             for b in &alphabet {
