@@ -46,7 +46,7 @@ loc:
 # ROADMAP's "the round ends at or below today's figure", as a gate: the
 # product-source line count may not exceed the budget. Lower it when a PR
 # removes code; a PR that has to raise it says so in its diff.
-LOC_BUDGET = 35113
+LOC_BUDGET = 34732
 loc-check:
 	@n=$$(find crates/*/src -name "*.rs" | xargs cat | wc -l); \
 	if [ $$n -gt $(LOC_BUDGET) ]; then \

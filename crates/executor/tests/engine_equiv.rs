@@ -33,7 +33,7 @@ use psync_executor::{
     RandomScheduler, RandomWalkClock, ReferenceEngine, ReferenceEngineBuilder, RoundRobinScheduler,
     Scheduler, ScriptedClock, StopReason,
 };
-use psync_net::{Channel, DropSeeded, FifoChannel, LossyChannel, NodeId, SeededDelay};
+use psync_net::{Channel, DropSeeded, FaultChannel, NodeId, SeededDelay};
 use psync_time::{DelayBounds, Duration, Time};
 
 const SEEDS: [u64; 6] = [1, 7, 42, 99, 1234, 987_654_321];
@@ -143,15 +143,12 @@ fn heartbeats_over_fifo_and_lossy_channels_are_equivalent() {
         "fifo+lossy",
         |b| {
             b.timed(Heartbeater::new(NodeId(0), NodeId(1), ms(10)))
-                .timed(FifoChannel::new(
-                    NodeId(0),
-                    NodeId(1),
-                    bounds,
-                    SeededDelay::new(5),
-                ))
+                .timed(
+                    Channel::<_, _>::new(NodeId(0), NodeId(1), bounds, SeededDelay::new(5)).fifo(),
+                )
                 .timed(Monitor::new(NodeId(1), NodeId(0), params))
                 .timed(Heartbeater::new(NodeId(1), NodeId(0), ms(10)))
-                .timed(LossyChannel::new(
+                .timed(FaultChannel::new(
                     NodeId(1),
                     NodeId(0),
                     bounds,
@@ -163,15 +160,12 @@ fn heartbeats_over_fifo_and_lossy_channels_are_equivalent() {
         },
         |b| {
             b.timed(Heartbeater::new(NodeId(0), NodeId(1), ms(10)))
-                .timed(FifoChannel::new(
-                    NodeId(0),
-                    NodeId(1),
-                    bounds,
-                    SeededDelay::new(5),
-                ))
+                .timed(
+                    Channel::<_, _>::new(NodeId(0), NodeId(1), bounds, SeededDelay::new(5)).fifo(),
+                )
                 .timed(Monitor::new(NodeId(1), NodeId(0), params))
                 .timed(Heartbeater::new(NodeId(1), NodeId(0), ms(10)))
-                .timed(LossyChannel::new(
+                .timed(FaultChannel::new(
                     NodeId(1),
                     NodeId(0),
                     bounds,
@@ -198,7 +192,7 @@ fn heartbeats_over_reordering_channels_are_equivalent() {
         "reordering",
         |b| {
             b.timed(Heartbeater::new(NodeId(0), NodeId(1), ms(5)))
-                .timed(Channel::new(
+                .timed(Channel::<_, _>::new(
                     NodeId(0),
                     NodeId(1),
                     bounds,
@@ -209,7 +203,7 @@ fn heartbeats_over_reordering_channels_are_equivalent() {
         },
         |b| {
             b.timed(Heartbeater::new(NodeId(0), NodeId(1), ms(5)))
-                .timed(Channel::new(
+                .timed(Channel::<_, _>::new(
                     NodeId(0),
                     NodeId(1),
                     bounds,
@@ -268,7 +262,7 @@ fn round_robin_heartbeats_over_channels_are_equivalent() {
         |_| RoundRobinScheduler::new(),
         |b| {
             b.timed(Heartbeater::new(NodeId(0), NodeId(1), ms(5)))
-                .timed(Channel::new(
+                .timed(Channel::<_, _>::new(
                     NodeId(0),
                     NodeId(1),
                     bounds,
@@ -279,7 +273,7 @@ fn round_robin_heartbeats_over_channels_are_equivalent() {
         },
         |b| {
             b.timed(Heartbeater::new(NodeId(0), NodeId(1), ms(5)))
-                .timed(Channel::new(
+                .timed(Channel::<_, _>::new(
                     NodeId(0),
                     NodeId(1),
                     bounds,
@@ -407,23 +401,13 @@ fn attached_observer_leaves_execution_identical_to_detached_run() {
     };
     let mix = |b: EngineBuilder<FdAction>| {
         b.timed(Heartbeater::new(NodeId(0), NodeId(1), ms(10)))
-            .timed(FifoChannel::new(
-                NodeId(0),
-                NodeId(1),
-                bounds,
-                SeededDelay::new(5),
-            ))
+            .timed(Channel::<_, _>::new(NodeId(0), NodeId(1), bounds, SeededDelay::new(5)).fifo())
             .timed(Monitor::new(NodeId(1), NodeId(0), params))
             .horizon(at(300))
     };
     let mix_ref = |b: ReferenceEngineBuilder<FdAction>| {
         b.timed(Heartbeater::new(NodeId(0), NodeId(1), ms(10)))
-            .timed(FifoChannel::new(
-                NodeId(0),
-                NodeId(1),
-                bounds,
-                SeededDelay::new(5),
-            ))
+            .timed(Channel::<_, _>::new(NodeId(0), NodeId(1), bounds, SeededDelay::new(5)).fifo())
             .timed(Monitor::new(NodeId(1), NodeId(0), params))
             .horizon(at(300))
     };

@@ -6,10 +6,10 @@
 use std::collections::BTreeSet;
 
 use psync_executor::{RandomScheduler, Scheduler, ScriptedClock};
-use psync_net::{ChannelFault, DelayPolicy, MsgId, NodeId};
+use psync_net::{ChannelFault, DelayPolicy, MsgId, NodeId, SeededDelay};
 use psync_time::{DelayBounds, Duration, Time};
 
-use crate::plan::{at_ns, ns, splitmix64, FaultEntry, FaultPlan};
+use crate::plan::{at_ns, ns, FaultEntry, FaultPlan};
 
 /// The per-sender message counter a plan entry targets: the low 32 bits
 /// of a [`MsgId`] built by `MsgId::from_parts(node, counter)`.
@@ -25,7 +25,7 @@ pub fn seq_of(id: MsgId) -> u32 {
 /// widening the channel's internal bounds cannot leak extra latitude into
 /// unfaulted messages.
 pub struct PlanChannelFault {
-    seed: u64,
+    base: SeededDelay,
     declared: DelayBounds,
     drops: Vec<u32>,
     dups: Vec<(u32, Duration)>,
@@ -57,7 +57,7 @@ impl PlanChannelFault {
         late_extra: Duration,
     ) -> Self {
         let mut fault = PlanChannelFault {
-            seed,
+            base: SeededDelay::new(seed),
             declared,
             drops: Vec::new(),
             dups: Vec::new(),
@@ -119,10 +119,10 @@ impl PlanChannelFault {
         self
     }
 
-    /// Seeded base delay, uniform over the declared bounds — same shape
-    /// as `SeededDelay`, computed here so the declared (not the possibly
-    /// widened internal) bounds govern unfaulted messages. Messages sent
-    /// inside a gray window are pinned to `d₂` instead.
+    /// Seeded base delay: [`SeededDelay`] over the declared bounds, so the
+    /// declared (not the possibly widened internal) bounds govern
+    /// unfaulted messages. Messages sent inside a gray window are pinned
+    /// to `d₂` instead.
     fn base_delay(&self, src: NodeId, dst: NodeId, id: MsgId, sent_at: Time) -> Duration {
         if let Some((cycle, slow)) = self.gray {
             let phase = (sent_at - Time::ZERO)
@@ -132,12 +132,7 @@ impl PlanChannelFault {
                 return self.declared.max();
             }
         }
-        let width = self.declared.width().as_nanos();
-        if width == 0 {
-            return self.declared.min();
-        }
-        let h = splitmix64(self.seed ^ splitmix64(id.0) ^ ((src.0 as u64) << 48) ^ (dst.0 as u64));
-        self.declared.min() + Duration::from_nanos((h % (width as u64 + 1)) as i64)
+        self.base.delay(src, dst, id, sent_at, self.declared)
     }
 }
 
@@ -178,11 +173,11 @@ impl ChannelFault for PlanChannelFault {
 }
 
 /// A [`DelayPolicy`] executing a plan's delay spikes on systems whose
-/// channels take a policy rather than a [`ChannelFault`] (the clock-model
-/// `ClockChannel`s assembled by `build_dc`). Unfaulted messages get the
-/// seeded uniform delay.
+/// channels take a policy rather than a [`ChannelFault`] (the
+/// [`ClockChannel`](psync_net::ClockChannel)s that `build_dc` assembles).
+/// Unfaulted messages get [`SeededDelay`]'s seeded uniform delay.
 pub struct PlanDelayPolicy {
-    seed: u64,
+    base: SeededDelay,
     spikes: Vec<(u32, u32, u32, Duration)>,
 }
 
@@ -203,7 +198,10 @@ impl PlanDelayPolicy {
                 _ => None,
             })
             .collect();
-        PlanDelayPolicy { seed, spikes }
+        PlanDelayPolicy {
+            base: SeededDelay::new(seed),
+            spikes,
+        }
     }
 }
 
@@ -213,7 +211,7 @@ impl DelayPolicy for PlanDelayPolicy {
         src: NodeId,
         dst: NodeId,
         id: MsgId,
-        _sent_at: Time,
+        sent_at: Time,
         bounds: DelayBounds,
     ) -> Duration {
         let seq = seq_of(id);
@@ -225,12 +223,7 @@ impl DelayPolicy for PlanDelayPolicy {
             // Validated against the same bounds the channel asserts.
             return (*d).max(bounds.min()).min(bounds.max());
         }
-        let width = bounds.width().as_nanos();
-        if width == 0 {
-            return bounds.min();
-        }
-        let h = splitmix64(self.seed ^ splitmix64(id.0) ^ ((src.0 as u64) << 48) ^ (dst.0 as u64));
-        bounds.min() + Duration::from_nanos((h % (width as u64 + 1)) as i64)
+        self.base.delay(src, dst, id, sent_at, bounds)
     }
 }
 

@@ -958,7 +958,9 @@ where
             MaxDelay,
             fault,
         );
-        parts.fault_stats.push(channel.stats());
+        parts
+            .fault_stats
+            .push(channel.stats().expect("a fault-wired channel counts"));
         parts.builder = parts.builder.timed(channel);
     }
     parts.builder = parts.builder.observer(parts.hub.channel_delay_observer());

@@ -47,18 +47,6 @@ impl DelayPolicy for Box<dyn DelayPolicy> {
     }
 }
 
-impl dyn DelayPolicy {
-    /// Object-safe variant of [`DelayPolicy::delay_for`].
-    pub(crate) fn delay_for_dyn<M>(
-        &self,
-        env: &Envelope<M>,
-        sent_at: Time,
-        bounds: DelayBounds,
-    ) -> Duration {
-        self.delay(env.src, env.dst, env.id, sent_at, bounds)
-    }
-}
-
 /// Every message takes exactly `d₁` — the fastest network the model allows.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MinDelay;
@@ -96,7 +84,7 @@ impl SeededDelay {
 }
 
 /// SplitMix64: a small, high-quality 64-bit mixer (public domain).
-fn splitmix64(mut z: u64) -> u64 {
+pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

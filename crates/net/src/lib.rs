@@ -16,8 +16,13 @@
 //!   the tagged `ESENDMSG`/`ERECVMSG` interface of the clock model
 //!   (Section 4.1), and the `TICK`/`τ` actions of the MMT model
 //!   (Section 5).
-//! * [`Channel`] — the timed channel automaton of Figure 1; [`ClockChannel`]
-//!   — its clock-model renaming carrying `(m, c)` pairs (Section 4.1).
+//! * [`Channel`] — the channel automaton of Figure 1, one automaton for
+//!   every refinement the paper uses: on a [`ClockWire`] it is
+//!   [`ClockChannel`], the clock-model renaming carrying `(m, c)` pairs
+//!   (Section 4.1); [`Channel::fifo`] keeps send order (footnote 4); and
+//!   [`Channel::with_fault`] lets a [`ChannelFault`] drop, duplicate or
+//!   delay messages (Section 7.3's faulty channels, built by
+//!   [`FaultChannel::new`]; [`DropSeeded`] drops a seeded share).
 //! * [`DelayPolicy`] — the delay adversary choosing each message's delivery
 //!   point inside `[d₁, d₂]` ([`MinDelay`], [`MaxDelay`], [`SeededDelay`]).
 //! * [`Script`] — a scripted environment that injects application actions
@@ -28,7 +33,7 @@
 //!
 //! ```
 //! use psync_automata::{ActionKind, TimedComponent};
-//! use psync_net::{Channel, Envelope, MaxDelay, MsgId, NodeId, SysAction};
+//! use psync_net::{Channel, ClockChannel, Envelope, MaxDelay, MsgId, NodeId, SysAction};
 //! use psync_time::{DelayBounds, Duration, Time};
 //!
 //! type A = SysAction<&'static str, &'static str>;
@@ -41,6 +46,14 @@
 //! let s1 = ch.step(&s0, &A::Send(env.clone()), Time::ZERO).expect("channels accept sends");
 //! // MaxDelay delivers at exactly d₂ = 4 ms.
 //! assert_eq!(ch.deadline(&s1, Time::ZERO), Some(Time::ZERO + Duration::from_millis(4)));
+//!
+//! // The same edge as a clock-model channel: the stamp travels along.
+//! let cch: ClockChannel<&'static str, &'static str> =
+//!     ClockChannel::new(NodeId(0), NodeId(1), bounds, MaxDelay);
+//! let c = Time::ZERO + Duration::from_millis(7);
+//! let s1 = cch.step(&cch.initial(), &A::ESend(env.clone(), c), Time::ZERO).expect("input");
+//! let due = Time::ZERO + Duration::from_millis(4);
+//! assert_eq!(cch.enabled(&s1, due), vec![A::ERecv(env, c)]);
 //! # Ok::<(), psync_time::TimeError>(())
 //! ```
 
@@ -52,19 +65,17 @@ mod channel;
 mod clock_channel;
 mod delay;
 mod fault_channel;
-mod fifo_channel;
 mod lossy_channel;
 mod message;
 mod script;
 mod topology;
 
 pub use action::{edge_route_key, SysAction};
-pub use channel::{Channel, InFlight};
-pub use clock_channel::{ClockChannel, InFlightStamped};
+pub use channel::{Channel, InFlight, TimedWire, Wire};
+pub use clock_channel::{ClockChannel, ClockWire};
 pub use delay::{DelayPolicy, MaxDelay, MinDelay, SeededDelay};
 pub use fault_channel::{ChannelFault, FaultChannel, FaultStats, NoChannelFaults};
-pub use fifo_channel::{FifoChannel, FifoInFlight};
-pub use lossy_channel::{DropNone, DropPolicy, DropSeeded, LossyChannel};
+pub use lossy_channel::DropSeeded;
 pub use message::{Envelope, MsgId, NodeId};
 pub use script::Script;
 pub use topology::Topology;

@@ -87,8 +87,8 @@ impl MetricsHub {
     }
 
     /// Adds `delta` to counter `name` — for merging externally collected
-    /// counts (e.g. [`FaultChannel`](psync_net::FaultChannel) fault
-    /// counters) into the same snapshot.
+    /// counts (e.g. a fault-wired channel's
+    /// [`FaultStats`](psync_net::FaultStats)) into the same snapshot.
     pub fn add(&self, name: &str, delta: u64) {
         self.registry.borrow_mut().add(name, delta);
     }

@@ -68,9 +68,8 @@ pub mod prelude {
     };
     pub use psync_mmt::{Boundmap, MmtComponent, StepPolicy, TickConfig, TickSource};
     pub use psync_net::{
-        Channel, ClockChannel, DelayPolicy, DropNone, DropPolicy, DropSeeded, Envelope,
-        FifoChannel, LossyChannel, MaxDelay, MinDelay, MsgId, NodeId, Script, SeededDelay,
-        SysAction, Topology,
+        Channel, ClockChannel, DelayPolicy, DropSeeded, Envelope, MaxDelay, MinDelay, MsgId,
+        NodeId, Script, SeededDelay, SysAction, Topology,
     };
     pub use psync_register::{
         AlgorithmS, AlgorithmSObj, BaselineParams, BaselineRegister, ClosedLoopWorkload, ObjAction,

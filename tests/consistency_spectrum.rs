@@ -157,7 +157,7 @@ fn lossy_channels_break_even_sequential_consistency() {
         builder = builder.timed(AlgorithmS::new(i, params.clone()));
     }
     for &(i, j) in topo.edges() {
-        builder = builder.timed(psync_net::LossyChannel::<RegMsg, RegisterOp>::new(
+        builder = builder.timed(psync_net::FaultChannel::<RegMsg, RegisterOp>::new(
             i,
             j,
             bounds,

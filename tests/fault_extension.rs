@@ -8,7 +8,7 @@
 //!   paper's reliability assumption.
 
 use psync::prelude::*;
-use psync_net::{DropSeeded, FifoChannel, LossyChannel};
+use psync_net::{DropSeeded, FaultChannel};
 use psync_register::history;
 
 fn ms(n: i64) -> Duration {
@@ -50,12 +50,15 @@ fn register_over_fifo_channels_stays_linearizable() {
         let workload =
             ClosedLoopWorkload::new(&topo, seed, DelayBounds::new(ms(1), ms(5)).unwrap(), 8);
         let mut engine = engine_with_channels(&topo, &p, workload, |i, j| {
-            psync_automata::ComponentBox::new(FifoChannel::<RegMsg, RegisterOp>::new(
-                i,
-                j,
-                bounds,
-                SeededDelay::new(seed ^ ((i.0 as u64) << 8) ^ j.0 as u64),
-            ))
+            psync_automata::ComponentBox::new(
+                Channel::<RegMsg, RegisterOp>::new(
+                    i,
+                    j,
+                    bounds,
+                    SeededDelay::new(seed ^ ((i.0 as u64) << 8) ^ j.0 as u64),
+                )
+                .fifo(),
+            )
         });
         let run = engine.run().expect("well-formed");
         assert_eq!(run.stop, StopReason::Quiescent);
@@ -94,7 +97,7 @@ fn register_over_lossy_channels_loses_freshness() {
         builder = builder.timed(AlgorithmS::new(i, p.clone()));
     }
     for &(i, j) in topo.edges() {
-        builder = builder.timed(LossyChannel::<RegMsg, RegisterOp>::new(
+        builder = builder.timed(FaultChannel::<RegMsg, RegisterOp>::new(
             i,
             j,
             bounds,
@@ -147,7 +150,7 @@ fn mild_loss_can_go_unnoticed_or_break_it_depending_on_traffic() {
         let workload =
             ClosedLoopWorkload::new(&topo, seed, DelayBounds::new(ms(1), ms(5)).unwrap(), 6);
         let mut engine = engine_with_channels(&topo, &p, workload, |i, j| {
-            psync_automata::ComponentBox::new(LossyChannel::<RegMsg, RegisterOp>::new(
+            psync_automata::ComponentBox::new(FaultChannel::<RegMsg, RegisterOp>::new(
                 i,
                 j,
                 bounds,

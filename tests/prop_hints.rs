@@ -22,7 +22,7 @@ use proptest::prelude::*;
 use psync::prelude::*;
 use psync_automata::toys::{Beeper, ClockBeeper};
 use psync_automata::ClockComponentBox;
-use psync_net::{FaultChannel, NoChannelFaults};
+use psync_net::{ChannelFault, FaultChannel, NoChannelFaults};
 use psync_sync::probe::SyncMsg;
 use psync_verify::axioms::check_clock_wake;
 
@@ -100,6 +100,28 @@ fn env(src: usize, dst: usize, id: u64) -> Envelope<u32> {
     }
 }
 
+/// Drops, duplicates, spikes or defers each message by its id, so a walk
+/// meets every disposition a fault-wired channel has.
+struct Dispositions;
+
+impl ChannelFault for Dispositions {
+    fn deliveries(
+        &self,
+        _: NodeId,
+        _: NodeId,
+        id: MsgId,
+        _: Time,
+        bounds: DelayBounds,
+    ) -> Option<Vec<Duration>> {
+        match id.0 % 4 {
+            0 => Some(vec![]),
+            1 => Some(vec![bounds.max(), bounds.min()]),
+            2 => Some(vec![bounds.max()]),
+            _ => None,
+        }
+    }
+}
+
 /// A stamp up to 4 ms either side of `clock`.
 fn stamp_near(clock: Time, a: u16) -> Time {
     (clock + us(a))
@@ -144,10 +166,13 @@ proptest! {
         let send = |_, _, _, k| Some(A::Send(env(0, 1, k)));
         walk(&ClockSim::new(Channel::<u32, &'static str>::new(
             NodeId(0), NodeId(1), bounds(), SeededDelay::new(seed))), &script, send)?;
-        walk(&ClockSim::new(FifoChannel::<u32, &'static str>::new(
-            NodeId(0), NodeId(1), bounds(), SeededDelay::new(seed))), &script, send)?;
-        walk(&ClockSim::new(LossyChannel::<u32, &'static str>::new(
+        walk(&ClockSim::new(Channel::<u32, &'static str>::new(
+            NodeId(0), NodeId(1), bounds(), SeededDelay::new(seed)).fifo()), &script, send)?;
+        walk(&ClockSim::new(FaultChannel::<u32, &'static str>::new(
             NodeId(0), NodeId(1), bounds(), SeededDelay::new(seed), DropSeeded::new(seed, 30))),
+            &script, send)?;
+        walk(&ClockSim::new(FaultChannel::<u32, &'static str>::new(
+            NodeId(0), NodeId(1), bounds(), SeededDelay::new(seed), Dispositions)),
             &script, send)?;
         walk(&ClockSim::new(ClockChannel::<u32, &'static str>::new(
             NodeId(0), NodeId(1), bounds(), SeededDelay::new(seed))), &script,
@@ -275,10 +300,16 @@ fn route_keys_never_separate_less_than_classify() {
     let think = DelayBounds::new(ms(1), ms(2)).unwrap();
     let components = vec![
         // net
-        timed(Channel::new(i, j, bounds(), MaxDelay)),
+        timed(Channel::<_, _>::new(i, j, bounds(), MaxDelay)),
         timed(ClockChannel::new(i, j, bounds(), MaxDelay)),
-        timed(FifoChannel::new(i, j, bounds(), MaxDelay)),
-        timed(LossyChannel::new(i, j, bounds(), MaxDelay, DropNone)),
+        timed(Channel::<_, _>::new(i, j, bounds(), MaxDelay).fifo()),
+        timed(FaultChannel::new(
+            i,
+            j,
+            bounds(),
+            MaxDelay,
+            DropSeeded::new(0, 30),
+        )),
         timed(FaultChannel::new(i, j, bounds(), MaxDelay, NoChannelFaults)),
         timed(Script::<RegMsg, RegisterOp>::new([], |_| false)),
         // core
